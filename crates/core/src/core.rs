@@ -1117,6 +1117,61 @@ impl NmCore {
             && inner.ctrl_out.is_empty()
     }
 
+    /// Earliest instant at which [`NmCore::schedule`] could do work with
+    /// no new input (an arrival or NIC completion fires the event hook
+    /// instead): a retransmission, rail-probe or membership timer falling
+    /// due. `Some(now)` when work is already pending or a timer cannot be
+    /// named yet; `None` when nothing is armed.
+    pub fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        let inner = self.inner.lock();
+        if inner.halted {
+            return None;
+        }
+        if !inner.inbound.is_empty()
+            || !inner.completions.is_empty()
+            || !inner.ctrl_out.is_empty()
+            || !inner.credit_owed.is_empty()
+            || !inner.dead_events.is_empty()
+            || !inner.revoked_events.is_empty()
+            || inner.gates.values().any(|g| !g.is_empty())
+        {
+            return Some(now);
+        }
+        // Every timer below belongs to the retry layer.
+        inner.cfg.retry?;
+        // A degraded rail accrues degraded time and probes on every sweep.
+        if let Some(h) = &inner.health {
+            if (0..h.num_rails()).any(|r| h.state(r) != RailHealth::Up) {
+                return Some(now);
+            }
+        }
+        let mut due: Option<SimTime> = None;
+        let mut arm = |t: SimTime| due = Some(due.map_or(t, |d| d.min(t)));
+        for rdv in inner.rdv_out.values() {
+            // An unarmed sender rendezvous can have its FIN timer armed by
+            // a NIC completion, which fires no hook.
+            arm(rdv.deadline.unwrap_or(now));
+        }
+        for t in inner.rdv_in.values().filter_map(|r| r.deadline) {
+            arm(t);
+        }
+        for rx in inner.env_unacked.values().flat_map(|flow| flow.values()) {
+            arm(rx.deadline);
+        }
+        if let Some(m) = &inner.membership {
+            let expected = inner
+                .matching
+                .posted_gates()
+                .into_iter()
+                .map(|g| g.0)
+                .chain(inner.rdv_in.keys().map(|&(src, _)| src));
+            if let Some(t) = m.next_due(now, expected) {
+                arm(t);
+            }
+        }
+        due
+    }
+
     /// Counter snapshot (includes the live copy-meter tally and the
     /// rail-health table's failover counters).
     pub fn stats(&self) -> NmStats {

@@ -236,6 +236,27 @@ impl MembershipTable {
         (probes, dead)
     }
 
+    /// Earliest instant [`MembershipTable::tick`] over `expected` would
+    /// act: a probe falling due, or `now` for a peer without a cell (the
+    /// first tick creates it, stamped with that tick's time) or for
+    /// transition edges not yet drained. `None`: nothing due.
+    pub fn next_due<I>(&self, now: SimTime, expected: I) -> Option<SimTime>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        if !self.pending_events.is_empty() {
+            return Some(now);
+        }
+        expected
+            .into_iter()
+            .filter_map(|peer| match self.cells.get(&peer) {
+                None => Some(now),
+                Some(c) if c.state == PeerLiveness::Dead => None,
+                Some(c) => Some(c.next_probe_at),
+            })
+            .min()
+    }
+
     /// Force a `Dead` verdict (tests, upper-layer teardown). Returns
     /// `true` if the peer was not already dead.
     pub fn declare_dead(&mut self, peer: usize, now: SimTime) -> bool {

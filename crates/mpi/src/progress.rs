@@ -14,18 +14,22 @@
 //! 3. run the ANY_SOURCE probes of §3.2.2.
 //!
 //! Without PIOMan, the cycle runs inside the application's wait loops
-//! (busy-wait polling, `poll_gran` steps). With PIOMan, ranks block on a
+//! (busy-wait polling, one [`PollSchedule`] tick per cycle; idle ticks run
+//! on the engine thread, see [`Activity`]). With PIOMan, ranks block on a
 //! semaphore and the cycle runs as a PIOMan ltask after each event kick —
 //! with the measured synchronization costs as reaction latency, and
 //! per-message completion costs applied as completion *delays* (the work
 //! happens on another core, but the requester still observes it).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use simnet::{CopyMeter, NmBuf, RankCtx, Scheduler, SimDuration, SimSemaphore};
+use simnet::{
+    CopyMeter, NmBuf, PollSchedule, RankCtx, Scheduler, SimDuration, SimSemaphore, SimTime,
+};
 
 use nemesis::ShmModel;
 use nmad::sr::CompletionKind;
@@ -55,6 +59,80 @@ const MAX_POLL_BACKOFF: SimDuration = SimDuration::micros(2);
 /// error on a 10 ms transfer) so NAS-scale volumes stay cheap to simulate.
 const BULK_POLLS: u32 = 1_000;
 const BULK_POLL_BACKOFF: SimDuration = SimDuration::micros(10);
+
+/// Probe cadence under PIOMan: PIOMan raises completions, not unexpected
+/// arrivals, so probing still needs a poll cadence.
+const PIOMAN_PROBE_POLL: SimDuration = SimDuration::nanos(500);
+
+/// The MPI layer's busy-wait loops and their tick schedules.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PollLoop {
+    /// `MPI_Wait` without PIOMan: backs off further once a wait turns
+    /// out to be a bulk transfer.
+    Wait,
+    /// `MPI_Probe` without PIOMan, and the agreement's pass-round wait.
+    Probe,
+    /// `MPI_Probe` under PIOMan.
+    PiomanProbe,
+    /// The `MPI_Finalize` drain, which starts backing off one tick later
+    /// than the others.
+    Finalize,
+}
+
+impl PollLoop {
+    pub(crate) fn schedule(self, poll_gran: SimDuration) -> PollSchedule {
+        match self {
+            PollLoop::Wait => PollSchedule::new(poll_gran, FINE_POLLS, MAX_POLL_BACKOFF)
+                .with_bulk(BULK_POLLS, BULK_POLL_BACKOFF),
+            PollLoop::Probe => PollSchedule::new(poll_gran, FINE_POLLS, MAX_POLL_BACKOFF),
+            PollLoop::PiomanProbe => PollSchedule::fixed(PIOMAN_PROBE_POLL),
+            PollLoop::Finalize => PollSchedule::new(poll_gran, FINE_POLLS + 1, MAX_POLL_BACKOFF),
+        }
+    }
+}
+
+/// Poll-activity flags (see [`simnet::RankCtx::poll`]). A rank's flag is
+/// cleared when its progress cycle starts and set by everything that may
+/// give its next cycle work: its NIC event hook (every rank of the node —
+/// they share the NIC), its shared-memory delivery hook, and any cycle of a
+/// co-located rank that scheduled something. Timers are covered by
+/// [`ProcState::poll_deadline`] instead.
+///
+/// Relaxed ordering throughout: every access happens under the simulator's
+/// token protocol, whose handoffs already order them.
+#[derive(Clone)]
+pub struct Activity {
+    own: Arc<AtomicBool>,
+    /// The flags of every rank on this node, this one included.
+    node: Arc<[Arc<AtomicBool>]>,
+}
+
+impl Activity {
+    /// The flags of one node's ranks, in `node` order; `own` must be one
+    /// of them.
+    pub(crate) fn new(own: Arc<AtomicBool>, node: Arc<[Arc<AtomicBool>]>) -> Activity {
+        debug_assert!(node.iter().any(|f| Arc::ptr_eq(f, &own)));
+        Activity { own, node }
+    }
+
+    /// Mark this rank.
+    pub(crate) fn mark(&self) {
+        self.own.store(true, Ordering::Relaxed);
+    }
+
+    /// Mark every rank on this node.
+    pub(crate) fn mark_node(&self) {
+        for f in self.node.iter() {
+            f.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn mark_peers(&self) {
+        for f in self.node.iter().filter(|f| !Arc::ptr_eq(f, &self.own)) {
+            f.store(true, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Self-wake period for PIOMan waiters while the retry transport is
 /// active: if a lost packet killed the whole kick chain, the blocked rank
@@ -115,6 +193,8 @@ pub struct ProcState {
     pub piom: Option<Arc<PiomServer>>,
     /// Wake semaphore for blocked waiters (PIOMan mode).
     pub wake: SimSemaphore,
+    /// Poll-activity flags of this rank and its node (app-polling mode).
+    pub activity: Activity,
     /// Packets a rank sent to itself, pending local delivery.
     selfq: Mutex<VecDeque<Ch3Pkt>>,
     /// Collective-operation sequence number (all ranks call collectives in
@@ -143,6 +223,7 @@ impl ProcState {
         meter: Arc<CopyMeter>,
         rec: obs::RankRec,
         piom: Option<Arc<PiomServer>>,
+        activity: Activity,
     ) -> Arc<ProcState> {
         Arc::new(ProcState {
             rank,
@@ -160,6 +241,7 @@ impl ProcState {
             rec,
             piom,
             wake: SimSemaphore::new(format!("mpi-wake-{rank}")),
+            activity,
             selfq: Mutex::new(VecDeque::new()),
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             crashed: std::sync::atomic::AtomicBool::new(false),
@@ -370,6 +452,23 @@ impl ProcState {
     /// delays (PIOMan).
     pub fn progress_cycle(self: &Arc<Self>, sched: &Scheduler) {
         self.rec.inc("mpi.progress_cycles", 1);
+        if self.piom.is_some() {
+            // No poll tick of a PIOMan rank is elided (see
+            // `poll_deadline`), so nobody reads the activity flags.
+            return self.progress_cycle_inner(sched);
+        }
+        // This cycle sees every input that marked the flag so far.
+        self.activity.own.store(false, Ordering::Relaxed);
+        let scheduled = sched.scheduled();
+        self.progress_cycle_inner(sched);
+        // Shared-memory sends, cell recycling that restarts a peer's pump
+        // and NIC transfers all schedule events: wake the node's pollers.
+        if sched.scheduled() != scheduled {
+            self.activity.mark_peers();
+        }
+    }
+
+    fn progress_cycle_inner(self: &Arc<Self>, sched: &Scheduler) {
         // 1. Inter-node.
         match &self.net {
             NetPath::Direct(core) => {
@@ -711,8 +810,7 @@ impl ProcState {
     /// latency, so it never perturbs the Netpipe figures.
     pub fn wait(self: &Arc<Self>, ctx: &RankCtx, req: Req) -> (Option<Bytes>, Option<Status>) {
         let sched = ctx.scheduler();
-        let mut polls = 0u32;
-        let mut step = self.costs.poll_gran;
+        let mut schedule = PollLoop::Wait.schedule(self.costs.poll_gran);
         // Always drive progress at least once: buffered (eager) sends
         // complete immediately, but their packets still sit in the outbox /
         // submission window until a progress cycle flushes them — a
@@ -740,20 +838,7 @@ impl ProcState {
                 continue;
             }
             match &self.piom {
-                None => {
-                    ctx.advance(step);
-                    polls += 1;
-                    if polls > FINE_POLLS {
-                        let cap = if polls > BULK_POLLS {
-                            BULK_POLL_BACKOFF
-                        } else {
-                            MAX_POLL_BACKOFF
-                        };
-                        step = SimDuration::nanos(
-                            (step.as_nanos() * 3 / 2).min(cap.as_nanos()),
-                        );
-                    }
-                }
+                None => self.poll_tick(ctx, &mut schedule),
                 Some(_) => {
                     // §3.3.2: block on the semaphore; PIOMan wakes us.
                     // Under the retry transport, also arm a timed self-wake
@@ -789,28 +874,47 @@ impl ProcState {
 
     /// MPI_Probe: block until [`ProcState::iprobe`] succeeds.
     pub fn probe(self: &Arc<Self>, ctx: &RankCtx, src: Src, tag: u32) -> Status {
-        let mut polls = 0u32;
-        let mut step = self.costs.poll_gran;
+        let mut schedule = match &self.piom {
+            None => PollLoop::Probe,
+            Some(_) => PollLoop::PiomanProbe,
+        }
+        .schedule(self.costs.poll_gran);
         loop {
             if let Some(st) = self.iprobe(ctx, src, tag) {
                 return st;
             }
-            match &self.piom {
-                None => {
-                    ctx.advance(step);
-                    polls += 1;
-                    if polls > FINE_POLLS {
-                        step = SimDuration::nanos(
-                            (step.as_nanos() * 3 / 2).min(MAX_POLL_BACKOFF.as_nanos()),
-                        );
-                    }
-                }
-                Some(_) => {
-                    // PIOMan raises completions, not unexpected arrivals;
-                    // probing still needs a poll cadence.
-                    ctx.advance(SimDuration::nanos(500));
-                }
-            }
+            self.poll_tick(ctx, &mut schedule);
+        }
+    }
+
+    /// Sleep one tick of a busy-wait loop. Ticks the engine ran on this
+    /// rank's behalf stand for progress cycles that found nothing to do,
+    /// and are counted as such.
+    pub(crate) fn poll_tick(&self, ctx: &RankCtx, schedule: &mut PollSchedule) {
+        let elided = ctx.poll(schedule, &self.activity.own, self.poll_deadline(ctx.now()));
+        if elided > 0 {
+            self.rec.inc("mpi.progress_cycles", elided);
+        }
+    }
+
+    /// Earliest instant an idle progress cycle could do work that no hook
+    /// announces: the network path's timers (retransmission, rail probes,
+    /// membership) or work it left pending. `Some(now)` means every tick
+    /// must run — always the case under PIOMan, whose cycles run on the
+    /// engine thread and whose hooks kick the server, not the flag.
+    fn poll_deadline(&self, now: SimTime) -> Option<SimTime> {
+        if self.piom.is_some() || !self.selfq.lock().is_empty() {
+            return Some(now);
+        }
+        let net = match &self.net {
+            NetPath::Direct(core) => core.next_deadline(now),
+            NetPath::Ch3(t) => t.next_deadline(now),
+            NetPath::None => None,
+        };
+        let shm = self.shm.as_ref().and_then(|t| t.next_deadline(now));
+        match (net, shm) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
@@ -929,22 +1033,110 @@ impl ProcState {
             return;
         }
         let sched = ctx.scheduler();
-        let mut step = self.costs.poll_gran;
-        for polls in 0u32.. {
+        let mut schedule = PollLoop::Finalize.schedule(self.costs.poll_gran);
+        loop {
             self.progress_cycle(&sched);
             if self.quiescent() {
                 return;
             }
             assert!(
-                polls < 5_000_000,
+                schedule.polls() < 5_000_000,
                 "MPI_Finalize drain did not quiesce (protocol leak?)"
             );
-            ctx.advance(step);
-            if polls > FINE_POLLS {
-                step = SimDuration::nanos(
-                    (step.as_nanos() * 3 / 2).min(MAX_POLL_BACKOFF.as_nanos()),
-                );
-            }
+            self.poll_tick(ctx, &mut schedule);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const GRAN: SimDuration = SimDuration::nanos(50);
+    const TICKS: usize = 1_200;
+
+    fn grow(step: SimDuration, cap: SimDuration) -> SimDuration {
+        SimDuration::nanos((step.as_nanos() * 3 / 2).min(cap.as_nanos()))
+    }
+
+    /// `MPI_Wait`'s hand-written loop, as it stood before `PollSchedule`.
+    fn old_wait() -> Vec<u64> {
+        let (mut polls, mut step) = (0u32, GRAN);
+        (0..TICKS)
+            .map(|_| {
+                let s = step;
+                polls += 1;
+                if polls > FINE_POLLS {
+                    let cap = if polls > BULK_POLLS {
+                        BULK_POLL_BACKOFF
+                    } else {
+                        MAX_POLL_BACKOFF
+                    };
+                    step = grow(step, cap);
+                }
+                s.as_nanos()
+            })
+            .collect()
+    }
+
+    /// `MPI_Probe`'s polling loop; the agreement's pass-round loop was the
+    /// same code with its own copies of the constants (100 polls, 2 µs).
+    fn old_probe() -> Vec<u64> {
+        let (mut polls, mut step) = (0u32, GRAN);
+        (0..TICKS)
+            .map(|_| {
+                let s = step;
+                polls += 1;
+                if polls > 100 {
+                    step = grow(step, SimDuration::micros(2));
+                }
+                s.as_nanos()
+            })
+            .collect()
+    }
+
+    /// The finalize drain: it tested the poll index *before* counting the
+    /// tick, so it backs off one tick later.
+    fn old_finalize() -> Vec<u64> {
+        let mut step = GRAN;
+        (0u32..TICKS as u32)
+            .map(|polls| {
+                let s = step;
+                if polls > FINE_POLLS {
+                    step = grow(step, MAX_POLL_BACKOFF);
+                }
+                s.as_nanos()
+            })
+            .collect()
+    }
+
+    fn ticks(l: PollLoop) -> Vec<u64> {
+        let mut s = l.schedule(GRAN);
+        (0..TICKS).map(|_| s.next_step().as_nanos()).collect()
+    }
+
+    #[test]
+    fn poll_schedules_reproduce_the_former_loops_tick_for_tick() {
+        let wait = ticks(PollLoop::Wait);
+        assert_eq!(wait, old_wait());
+        assert_eq!(ticks(PollLoop::Probe), old_probe());
+        assert_eq!(ticks(PollLoop::Finalize), old_finalize());
+        assert_eq!(ticks(PollLoop::PiomanProbe), vec![500; TICKS]);
+
+        // Anchors: 101 fine ticks, ×1.5 growth to the 2 µs cap, the bulk
+        // cap past 1000 polls, and the total simulated time each covers.
+        assert!(wait[..101].iter().all(|&s| s == 50));
+        assert_eq!(
+            wait[101..111],
+            [75, 112, 168, 252, 378, 567, 850, 1275, 1912, 2000]
+        );
+        assert_eq!(wait[1000..1005], [2000, 3000, 4500, 6750, 10000]);
+        assert_eq!(wait.iter().sum::<u64>(), 3_766_889);
+        let probe = ticks(PollLoop::Probe);
+        assert_eq!(*probe.iter().max().unwrap(), 2000);
+        assert_eq!(probe.iter().sum::<u64>(), 2_190_639);
+        let finalize = ticks(PollLoop::Finalize);
+        assert_eq!(finalize[101..103], [50, 75]);
+        assert_eq!(finalize.iter().sum::<u64>(), 2_188_689);
     }
 }

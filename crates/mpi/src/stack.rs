@@ -8,6 +8,7 @@
 //! program to completion.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -25,7 +26,7 @@ use piom::{PiomConfig, PiomServer};
 use crate::api::MpiHandle;
 use crate::ch3::Ch3Engine;
 use crate::costs::SoftwareCosts;
-use crate::progress::{NetPath, ProcState};
+use crate::progress::{Activity, NetPath, ProcState};
 use crate::transport::{
     Ch3Transport, Ch3Wire, FabricTransport, Inbox, NmadNetmodTransport, ShmTransport,
 };
@@ -542,6 +543,18 @@ pub fn run_mpi(
             }
         }
     };
+    // --- Poll-activity flags, grouped per node ----------------------------
+    let flags: Vec<Arc<AtomicBool>> = (0..nranks)
+        .map(|_| Arc::new(AtomicBool::new(false)))
+        .collect();
+    let node_flags: Vec<Arc<[Arc<AtomicBool>]>> = (0..cluster.nodes)
+        .map(|n| {
+            topo.ranks_on(NodeId(n))
+                .iter()
+                .map(|&r| Arc::clone(&flags[r]))
+                .collect()
+        })
+        .collect();
     // --- Per-rank process state -----------------------------------------
     let mut states: Vec<Arc<ProcState>> = Vec::with_capacity(nranks);
     let mut piom_servers: Vec<Option<Arc<PiomServer>>> = Vec::with_capacity(nranks);
@@ -662,49 +675,64 @@ pub fn run_mpi(
             Arc::clone(&meter),
             obs::RankRec::new(recorder.as_ref(), r as u32),
             piom_server.as_ref().map(Arc::clone),
+            Activity::new(Arc::clone(&flags[r]), Arc::clone(&node_flags[node.0])),
         );
         // PIOMan wiring (part 1): the progress cycle becomes an ltask and
         // the shared-memory side kicks this rank's server on deliveries
-        // (§3.3.1, the "global polling authority"). Network hooks are
-        // wired in a second pass, per node.
-        if let Some(server) = &piom_server {
-            let st = Arc::clone(&state);
-            server.register_fn(
-                &format!("mpi-progress-{r}"),
-                Arc::new(move |s| st.progress_cycle(s)),
-            );
-            if let Some(t) = &state.shm {
+        // (§3.3.1, the "global polling authority"). Without PIOMan the same
+        // hook marks the rank's poll-activity flag, so the engine only
+        // elides poll ticks no input could affect. Network hooks are wired
+        // in a second pass, per node.
+        let shm_hook: Arc<dyn Fn(&simnet::Scheduler) + Send + Sync> = match &piom_server {
+            Some(server) => {
+                let st = Arc::clone(&state);
+                server.register_fn(
+                    &format!("mpi-progress-{r}"),
+                    Arc::new(move |s| st.progress_cycle(s)),
+                );
                 let sv = Arc::clone(server);
-                t.set_event_hook(Arc::new(move |s| sv.kick_shm(s)));
+                Arc::new(move |s| sv.kick_shm(s))
             }
+            None => {
+                let activity = state.activity.clone();
+                Arc::new(move |_| activity.mark())
+            }
+        };
+        if let Some(t) = &state.shm {
+            t.set_event_hook(shm_hook);
+        }
+        if let Some(server) = &piom_server {
             server.start(&sched);
         }
         piom_servers.push(piom_server);
         states.push(state);
     }
 
-    // PIOMan wiring (part 2): a NIC event must wake EVERY co-located
+    // Network hooks (part 2): a NIC event must wake EVERY co-located
     // rank's progress engine, not just the rank the event belongs to —
     // ranks on one node share the NIC, so one rank's send-completion is
     // another rank's "the rail is idle now, commit your window" signal.
-    if cfg.pioman.is_some() {
-        for (r, state) in states.iter().enumerate() {
+    // Without PIOMan it marks every co-located rank's activity flag.
+    for (r, state) in states.iter().enumerate() {
+        let hook: Arc<dyn Fn(&simnet::Scheduler) + Send + Sync> = if cfg.pioman.is_some() {
             let node_servers: Vec<Arc<PiomServer>> = topo
                 .node_ranks(r)
                 .iter()
                 .filter_map(|&peer| piom_servers[peer].as_ref().map(Arc::clone))
                 .collect();
-            let hook: Arc<dyn Fn(&simnet::Scheduler) + Send + Sync> =
-                Arc::new(move |s| {
-                    for sv in &node_servers {
-                        sv.kick_net(s);
-                    }
-                });
-            match &state.net {
-                NetPath::Direct(core) => core.set_event_hook(hook),
-                NetPath::Ch3(t) => t.set_event_hook(hook),
-                NetPath::None => {}
-            }
+            Arc::new(move |s| {
+                for sv in &node_servers {
+                    sv.kick_net(s);
+                }
+            })
+        } else {
+            let activity = state.activity.clone();
+            Arc::new(move |_| activity.mark_node())
+        };
+        match &state.net {
+            NetPath::Direct(core) => core.set_event_hook(hook),
+            NetPath::Ch3(t) => t.set_event_hook(hook),
+            NetPath::None => {}
         }
     }
 

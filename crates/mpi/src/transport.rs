@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler};
+use simnet::{BufOrigin, CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler, SimTime};
 
 use nemesis::{MsgHeader, ShmDomain};
 use nmad::sr::CompletionKind;
@@ -32,7 +32,7 @@ use nmad::NmCore;
 use crate::ch3::Ch3Pkt;
 
 /// Hook fired (on the engine thread) when inbound traffic lands — PIOMan's
-/// wake-up signal.
+/// wake-up signal, and a polling rank's activity mark.
 pub type EventHook = Arc<dyn Fn(&Scheduler) + Send + Sync>;
 
 /// A CH3 packet transport.
@@ -64,6 +64,14 @@ pub trait Ch3Transport: Send + Sync {
     /// submission window.
     fn quiescent(&self) -> bool {
         true
+    }
+
+    /// Earliest instant `progress` could do work with no new input (new
+    /// input fires the event hook instead). `Some(now)` — the default —
+    /// when work is pending or the transport cannot tell; `None` when
+    /// nothing is due.
+    fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        Some(now)
     }
 }
 
@@ -180,6 +188,12 @@ impl Ch3Transport for ShmTransport {
         let local = self.my_local;
         self.domain
             .set_delivery_hook(local, Arc::new(move |s, _l| hook(s)));
+    }
+
+    fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
+        // `progress` drains every delivered cell; the next one fires the
+        // delivery hook.
+        None
     }
 
     fn debug_state(&self) -> String {
@@ -380,6 +394,10 @@ impl Ch3Transport for FabricTransport {
     fn quiescent(&self) -> bool {
         self.outbox.lock().is_empty()
     }
+
+    fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        (!self.outbox.lock().is_empty()).then_some(now)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -503,6 +521,13 @@ impl Ch3Transport for NmadNetmodTransport {
 
     fn quiescent(&self) -> bool {
         self.core.quiescent()
+    }
+
+    fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+        if !*self.started.lock() {
+            return Some(now);
+        }
+        self.core.next_deadline(now)
     }
 }
 

@@ -1,8 +1,10 @@
 //! The handle a rank program uses to interact with the simulation.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::engine::{RankId, Report, ReportCell, Scheduler, SimCore, TornDown, WakeCell};
+use crate::poll::{PollPark, PollSchedule};
 use crate::time::{SimDuration, SimTime};
 
 /// Per-rank simulation context, passed by value to the rank's program
@@ -68,11 +70,50 @@ impl RankCtx {
         self.advance(SimDuration::ZERO);
     }
 
+    /// Sleep for the next tick of `schedule`, like
+    /// `advance(schedule.next_step())`, then return to run a progress
+    /// cycle. While `active` stays clear and `deadline` (if any) lies
+    /// ahead, the engine runs the following ticks itself without waking
+    /// this rank; `schedule` comes back advanced past them and the return
+    /// value is how many there were.
+    ///
+    /// The caller must clear `active` before each progress cycle it runs,
+    /// and everything that could give the next cycle work — an arrival,
+    /// another rank's action, a timer — must set the flag or be covered by
+    /// `deadline`. Elided ticks then stand exactly for cycles that would
+    /// have changed nothing.
+    pub fn poll(
+        &self,
+        schedule: &mut PollSchedule,
+        active: &Arc<AtomicBool>,
+        deadline: Option<SimTime>,
+    ) -> u64 {
+        let step = schedule.next_step();
+        self.scheduler().wake_rank_at(self.now() + step, self.rank);
+        self.park_with(Some(PollPark {
+            schedule: *schedule,
+            active: Arc::clone(active),
+            deadline,
+            elided: 0,
+        }));
+        match self.cell.take_resume() {
+            Some((advanced, elided)) => {
+                *schedule = advanced;
+                elided
+            }
+            None => 0,
+        }
+    }
+
     /// Block until some event wakes this rank. Used by blocking primitives
     /// ([`crate::sem::SimSemaphore`]); the waker must have arranged for
     /// exactly one wake event targeting this rank.
     pub(crate) fn park(&self) {
-        self.report.send(Report::Parked(self.rank));
+        self.park_with(None);
+    }
+
+    fn park_with(&self, poll: Option<PollPark>) {
+        self.report.send(Report::Parked(self.rank, poll));
         if self.cell.wait_go().is_err() {
             // The engine tore the simulation down (deadlock/panic path):
             // unwind this thread silently.

@@ -18,6 +18,19 @@
 //! Because handoffs are synchronous, no two simulation participants ever run
 //! concurrently and the run is fully determined by the event order.
 //!
+//! ## Elided poll ticks
+//!
+//! A busy-waiting rank parks through [`crate::ctx::RankCtx::poll`]: it
+//! pushes its next tick exactly as `advance(step)` would and leaves its
+//! [`PollSchedule`](crate::poll::PollSchedule), activity flag and timer
+//! deadline with the engine. When that tick pops while the flag is clear
+//! and the deadline lies ahead, the rank's progress cycle would find
+//! nothing to do, so the engine takes the tick itself: it advances the
+//! schedule and pushes the following tick at the same instant and queue
+//! position the rank's own push would have had. Event order, event counts
+//! and simulated time are therefore unchanged; only the handoff and the
+//! empty cycle disappear. [`SimOutcome::polls_elided`] counts such ticks.
+//!
 //! ## Scale
 //!
 //! The handoff primitives are a fixed mutex + condvar pair per rank (wake
@@ -44,6 +57,7 @@ use parking_lot::Mutex;
 
 use crate::ctx::RankCtx;
 use crate::event::{EventKind, EventQueue};
+use crate::poll::{PollPark, PollSchedule};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -61,7 +75,8 @@ impl std::fmt::Display for RankId {
 /// Message a rank thread posts back to the engine when it yields the token.
 pub(crate) enum Report {
     /// The rank blocked and returned the token; it now waits for a grant.
-    Parked(RankId),
+    /// A rank parked in a poll loop leaves its poll state with the engine.
+    Parked(RankId, Option<PollPark>),
     /// The rank's program returned.
     Done(RankId),
     /// The rank's program panicked with this message.
@@ -93,6 +108,9 @@ enum GoSignal {
 pub struct WakeCell {
     state: StdMutex<GoSignal>,
     cv: Condvar,
+    /// Poll state handed back on a grant after the engine elided ticks:
+    /// the advanced schedule and the number of ticks taken.
+    resume: Mutex<Option<(PollSchedule, u64)>>,
 }
 
 impl WakeCell {
@@ -100,6 +118,7 @@ impl WakeCell {
         Arc::new(WakeCell {
             state: StdMutex::new(GoSignal::Pending),
             cv: Condvar::new(),
+            resume: Mutex::new(None),
         })
     }
 
@@ -132,6 +151,10 @@ impl WakeCell {
     pub fn tear_down(&self) {
         *self.state.lock().unwrap_or_else(|e| e.into_inner()) = GoSignal::TornDown;
         self.cv.notify_one();
+    }
+
+    pub(crate) fn take_resume(&self) -> Option<(PollSchedule, u64)> {
+        self.resume.lock().take()
     }
 }
 
@@ -248,6 +271,12 @@ impl Scheduler {
         self.wake_rank_at(self.now(), rank);
     }
 
+    /// Events scheduled so far in this simulation (monotonic). Two reads
+    /// that differ bracket code that scheduled something.
+    pub fn scheduled(&self) -> u64 {
+        self.core.queue.lock().pushed()
+    }
+
     /// Access the tracer (no-op unless tracing was enabled on the builder).
     pub fn tracer(&self) -> &Tracer {
         &self.core.tracer
@@ -264,6 +293,8 @@ struct RankSlot {
     cell: Arc<WakeCell>,
     state: RankState,
     join: Option<JoinHandle<()>>,
+    /// Set while the rank is parked in a poll loop.
+    poll: Option<PollPark>,
 }
 
 /// Default rank-thread stack size. Rank programs are shallow (the MPI stack
@@ -348,11 +379,16 @@ pub struct SimOutcome {
     pub final_time: SimTime,
     /// Total number of events dispatched.
     pub events: u64,
-    /// Rank wake events among `events`. Each wake is a full token handoff
-    /// (two OS context switches on a single-core host), so this is the
-    /// wall-clock cost driver of large runs; `events - wakes` closure
-    /// dispatches run inline on the engine thread.
+    /// Rank wake events among `events` that handed the token to the rank.
+    /// Each is a full token handoff (two OS context switches on a
+    /// single-core host), so this is the wall-clock cost driver of large
+    /// runs; the other `events - wakes` dispatches run inline on the engine
+    /// thread.
     pub wakes: u64,
+    /// Idle poll ticks the engine ran on a polling rank's behalf instead of
+    /// waking it (see the module docs). `wakes + polls_elided` is the
+    /// number of rank wake events dispatched.
+    pub polls_elided: u64,
 }
 
 /// Ways a simulation can fail.
@@ -439,6 +475,7 @@ impl Sim {
                     cell: WakeCell::new(),
                     state: RankState::Done,
                     join: None,
+                    poll: None,
                 });
                 id
             }
@@ -504,6 +541,7 @@ impl Sim {
             cell,
             state: RankState::Parked,
             join: Some(join),
+            poll: None,
         });
         // First activation at t=0.
         self.core
@@ -539,6 +577,7 @@ impl Sim {
         // event-budget check on every iteration of the hot loop.
         let mut dispatched: u64 = self.core.queue.lock().dispatched();
         let mut wakes: u64 = 0;
+        let mut polls_elided: u64 = 0;
         loop {
             // Rank-driven simulations finish when every rank returned, even
             // if recurring background events (progress timers) are still
@@ -548,6 +587,7 @@ impl Sim {
                     final_time: self.core.now(),
                     events: dispatched,
                     wakes,
+                    polls_elided,
                 });
             }
             let popped = self.core.queue.lock().pop();
@@ -559,6 +599,7 @@ impl Sim {
                             final_time: self.core.now(),
                             events: dispatched,
                             wakes,
+                            polls_elided,
                         });
                     }
                     let stuck: Vec<String> = self
@@ -586,7 +627,7 @@ impl Sim {
                     f(&sched);
                 }
                 EventKind::Wake(rank) => {
-                    let slot = &self.ranks[rank.0];
+                    let slot = &mut self.ranks[rank.0];
                     match slot.state {
                         RankState::Done => {
                             // A wake raced with rank completion; a completed
@@ -601,14 +642,33 @@ impl Sim {
                         RankState::Parked => {}
                     }
                     self.core.rec.engine(t.0, obs::EngineEvent::DispatchWake);
+                    if let Some(p) = &mut slot.poll {
+                        // Relaxed: the flag's writers run under the token
+                        // protocol, whose handoffs already order them
+                        // before this read.
+                        let idle =
+                            !p.active.load(Ordering::Relaxed) && p.deadline.is_none_or(|d| t < d);
+                        if idle {
+                            let step = p.schedule.next_step();
+                            p.elided += 1;
+                            polls_elided += 1;
+                            self.core.queue.lock().push(t + step, EventKind::Wake(rank));
+                            continue;
+                        }
+                        let p = slot.poll.take().expect("checked above");
+                        if p.elided > 0 {
+                            *slot.cell.resume.lock() = Some((p.schedule, p.elided));
+                        }
+                    }
                     wakes += 1;
                     slot.cell.grant();
                     match self.report.recv() {
-                        Report::Parked(r) => {
+                        Report::Parked(r, poll) => {
                             debug_assert_eq!(
                                 r, rank,
                                 "token returned by a different rank than was woken"
                             );
+                            self.ranks[r.0].poll = poll;
                         }
                         Report::Done(r) => {
                             self.ranks[r.0].state = RankState::Done;
@@ -820,6 +880,88 @@ mod tests {
             assert_eq!(f2.load(Ordering::SeqCst), 1);
         });
         sim.run().unwrap();
+    }
+
+    /// A rank that polls until a callback at 10 µs publishes a value,
+    /// either by plain `advance` ticks or through `RankCtx::poll`; the
+    /// callback marks the flag (`mark`) or not, and `deadline` is handed
+    /// to the engine. Returns the outcome and the times the rank ran.
+    fn poll_run(
+        use_poll: bool,
+        mark: bool,
+        deadline: Option<SimTime>,
+    ) -> (SimOutcome, Vec<SimTime>) {
+        use crate::poll::PollSchedule;
+        use std::sync::atomic::AtomicBool;
+        let mut sim = SimBuilder::new().build();
+        let ready = Arc::new(AtomicUsize::new(0));
+        let active = Arc::new(AtomicBool::new(false));
+        let (r2, a2) = (Arc::clone(&ready), Arc::clone(&active));
+        sim.scheduler().schedule_at(SimTime(10_000), move |_| {
+            r2.store(1, Ordering::SeqCst);
+            if mark {
+                a2.store(true, Ordering::SeqCst);
+            }
+        });
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let ran2 = Arc::clone(&ran);
+        sim.spawn_rank("poller", move |ctx| {
+            let mut schedule =
+                PollSchedule::new(SimDuration::nanos(50), 20, SimDuration::micros(1));
+            let mut elided = 0;
+            loop {
+                ran2.lock().push(ctx.now());
+                active.store(false, Ordering::SeqCst);
+                if ready.load(Ordering::SeqCst) == 1 || ctx.now() >= SimTime(20_000) {
+                    break;
+                }
+                if use_poll {
+                    elided += ctx.poll(&mut schedule, &active, deadline);
+                } else {
+                    ctx.advance(schedule.next_step());
+                }
+            }
+            assert_eq!(
+                schedule.polls() as usize,
+                ran2.lock().len() - 1 + elided as usize
+            );
+        });
+        let out = sim.run().unwrap();
+        let ran = ran.lock().clone();
+        (out, ran)
+    }
+
+    #[test]
+    fn idle_poll_ticks_run_on_the_engine_without_moving_time() {
+        let (base, base_ran) = poll_run(false, true, None);
+        let (out, ran) = poll_run(true, true, None);
+        assert_eq!(out.final_time, base.final_time);
+        assert_eq!(out.events, base.events);
+        assert_eq!(out.wakes + out.polls_elided, base.wakes);
+        assert_eq!(base.polls_elided, 0);
+        // Woken at start, after its first park, and by the marked tick
+        // (the first one at or after 10 µs).
+        assert_eq!(ran.len(), 2);
+        assert_eq!(ran[1], *base_ran.last().unwrap());
+        assert!(ran[1] >= SimTime(10_000));
+    }
+
+    #[test]
+    fn poll_deadline_and_unmarked_input_bound_elision() {
+        let (base, _) = poll_run(false, true, None);
+        // The first tick at or after the deadline is handed to the rank.
+        let (out, ran) = poll_run(true, true, Some(SimTime(3_000)));
+        assert_eq!((out.final_time, out.events), (base.final_time, base.events));
+        assert!(ran
+            .iter()
+            .any(|&t| t >= SimTime(3_000) && t < SimTime(4_100)));
+        assert!(ran.len() > 2);
+        // An input that never marks the flag goes unseen until a
+        // deadline: the rank stops at the 20 µs deadline instead.
+        let (out, ran) = poll_run(true, false, Some(SimTime(20_000)));
+        assert_eq!(ran.len(), 2);
+        assert!(*ran.last().unwrap() >= SimTime(20_000));
+        assert!(out.final_time > base.final_time);
     }
 
     #[test]

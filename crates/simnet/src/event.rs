@@ -230,6 +230,11 @@ impl EventQueue {
     pub fn dispatched(&self) -> u64 {
         self.popped
     }
+
+    /// Total number of events pushed so far.
+    pub fn pushed(&self) -> u64 {
+        self.next_seq
+    }
 }
 
 /// The pre-calendar event queue: one global binary heap. Kept as the

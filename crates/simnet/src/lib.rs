@@ -29,6 +29,8 @@
 //! * [`engine`] — the simulator proper: rank threads, token handoff, run loop,
 //!   deadlock detection.
 //! * [`ctx`] — the handle a rank program uses to interact with the simulation.
+//! * [`poll`] — busy-wait poll schedules ([`PollSchedule`]) and the
+//!   engine's elision of idle poll ticks.
 //! * [`sem`] — blocking primitives usable from rank code and completable from
 //!   event callbacks (the paper's "semaphore-like primitives", §3.3.2).
 //! * [`nic`] — NIC performance models and simulated NIC ports.
@@ -52,6 +54,7 @@ pub mod event;
 pub mod fabric;
 pub mod fault;
 pub mod nic;
+pub mod poll;
 pub mod sem;
 pub mod stats;
 pub mod time;
@@ -67,6 +70,7 @@ pub use fault::{
     OverloadPlan, TransferFault,
 };
 pub use nic::{JitterModel, NicModel, NicPort};
+pub use poll::PollSchedule;
 pub use sem::SimSemaphore;
 pub use time::{SimDuration, SimTime};
 pub use topology::{Cluster, NodeId, Placement, TopoMap};

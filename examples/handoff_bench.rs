@@ -1,6 +1,7 @@
 //! Pure engine token-handoff throughput: K ranks round-robin through
 //! `advance`, so every event is a park/grant handoff. Reports wakes/sec
 //! per rank count — the floor on what any simulated workload can hit.
+//! Plain `advance` never elides a tick, so `polls elided` stays 0 here.
 //!
 //! `cargo run --release --example handoff_bench [rank-counts]`
 
@@ -28,8 +29,9 @@ fn main() {
         let out = sim.run().unwrap();
         let dt = t0.elapsed().as_secs_f64();
         println!(
-            "ranks {k:>5}: {:>8} wakes in {dt:.2}s = {:>8.0} wakes/s ({:.1} us/handoff)",
+            "ranks {k:>5}: {:>8} wakes ({} polls elided) in {dt:.2}s = {:>8.0} wakes/s ({:.1} us/handoff)",
             out.wakes,
+            out.polls_elided,
             out.wakes as f64 / dt,
             dt * 1e6 / out.wakes as f64
         );

@@ -37,6 +37,7 @@ struct SweepPoint {
     wall_s: f64,
     events: u64,
     wakes: u64,
+    polls_elided: u64,
     events_per_sec: f64,
     sim_time_us: f64,
     peak_rss_mb: f64,
@@ -83,6 +84,7 @@ fn sweep(p: usize) -> SweepPoint {
         wall_s: wall,
         events: outcome.sim.events,
         wakes: outcome.sim.wakes,
+        polls_elided: outcome.sim.polls_elided,
         events_per_sec: outcome.sim.events as f64 / wall,
         sim_time_us: outcome.sim.final_time.0 as f64 / 1000.0,
         peak_rss_mb: peak_rss_kb() as f64 / 1024.0,
@@ -153,8 +155,14 @@ fn main() {
         eprintln!("== E19 sweep at {p} ranks ==");
         let pt = sweep(p);
         eprintln!(
-            "  wall {:.2}s  events {}  wakes {}  {:.0} events/s  sim {:.0}us  peak RSS {:.1} MB",
-            pt.wall_s, pt.events, pt.wakes, pt.events_per_sec, pt.sim_time_us, pt.peak_rss_mb
+            "  wall {:.2}s  events {}  wakes {}  polls elided {}  {:.0} events/s  sim {:.0}us  peak RSS {:.1} MB",
+            pt.wall_s,
+            pt.events,
+            pt.wakes,
+            pt.polls_elided,
+            pt.events_per_sec,
+            pt.sim_time_us,
+            pt.peak_rss_mb
         );
         points.push(pt);
     }
@@ -182,6 +190,7 @@ fn main() {
         writeln!(json, "      \"wall_clock_s\": {:.3},", pt.wall_s).unwrap();
         writeln!(json, "      \"events\": {},", pt.events).unwrap();
         writeln!(json, "      \"wakes\": {},", pt.wakes).unwrap();
+        writeln!(json, "      \"polls_elided\": {},", pt.polls_elided).unwrap();
         writeln!(json, "      \"events_per_sec\": {:.0},", pt.events_per_sec).unwrap();
         writeln!(json, "      \"sim_time_us\": {:.1},", pt.sim_time_us).unwrap();
         writeln!(json, "      \"peak_rss_mb\": {:.1}", pt.peak_rss_mb).unwrap();

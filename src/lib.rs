@@ -60,13 +60,16 @@ pub mod sim_harness {
 
     /// Replay identity of one run. Two executions of the same [`Scenario`]
     /// must produce bit-identical fingerprints — simulated end time, event
-    /// count, every per-rank NewMadeleine counter, the fabric's per-rail
-    /// message/byte totals, the fault plan's injection counters, and a
-    /// hash of every payload byte the ranks received.
+    /// and rank-wake counts, every per-rank NewMadeleine counter, the
+    /// fabric's per-rail message/byte totals, the fault plan's injection
+    /// counters, and a hash of every payload byte the ranks received.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct Fingerprint {
         pub final_time_nanos: u64,
         pub events: u64,
+        /// Rank wake events dispatched: handoffs plus the idle poll ticks
+        /// the engine ran itself (`wakes + polls_elided`).
+        pub rank_wakes: u64,
         pub nm_stats: Vec<NmStats>,
         pub fault_counters: Option<FaultCounters>,
         pub rail_counters: Vec<(u64, u64)>,
@@ -168,6 +171,7 @@ pub mod sim_harness {
         Fingerprint {
             final_time_nanos: outcome.sim.final_time.as_nanos(),
             events: outcome.sim.events,
+            rank_wakes: outcome.sim.wakes + outcome.sim.polls_elided,
             nm_stats: outcome.nm_stats.clone(),
             fault_counters: outcome.fault_counters,
             rail_counters: outcome.rail_counters.clone(),
