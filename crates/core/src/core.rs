@@ -37,11 +37,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use simnet::{
-    BufOrigin, CopyMeter, CopySnapshot, Fabric, NmBuf, NodeId, RailId, Scheduler, SimDuration,
-    SimTime,
+    BufOrigin, CopyMeter, CopySnapshot, Fabric, NmBuf, NmLanding, NodeId, RailId, Scheduler,
+    SimDuration, SimTime,
 };
 
 use crate::config::{NmConfig, RetryConfig};
@@ -249,7 +248,7 @@ struct RdvIn {
     tag: u64,
     /// Envelope sequence of the matched RTS (lifecycle-span identity).
     seq: u64,
-    buf: Vec<u8>,
+    buf: NmLanding,
     received: usize,
     /// Retry mode: disjoint, sorted byte ranges already landed — makes
     /// replayed DATA idempotent.
@@ -2627,9 +2626,6 @@ impl NmCore {
             .map(|rc| rc.timeout)
             .unwrap_or(SimDuration::ZERO);
         let deadline = inner.cfg.retry.map(|rc| sched.now() + rc.timeout);
-        // The rendezvous landing buffer is a fresh payload allocation; the
-        // chunk memcpys into it are charged as each DATA lands.
-        inner.meter.record_alloc();
         let prev = inner.rdv_in.insert(
             (src, rdv_id),
             RdvIn {
@@ -2637,7 +2633,9 @@ impl NmCore {
                 gate: src,
                 tag,
                 seq,
-                buf: vec![0u8; len],
+                // A fresh payload allocation; the chunk memcpys into it
+                // are charged as each DATA lands.
+                buf: NmBuf::landing(len, BufOrigin::Nmad, &inner.meter),
                 received: 0,
                 ranges: Vec::new(),
                 deadline,
@@ -2858,7 +2856,7 @@ impl NmCore {
             debug_assert_eq!(rdv.received, rdv.buf.len());
             // Freeze the landing buffer without a copy (the allocation was
             // charged in start_rdv_in, the fills as each chunk landed).
-            let buf = NmBuf::adopt(Bytes::from(rdv.buf), BufOrigin::Nmad, &inner.meter);
+            let buf = rdv.buf.freeze();
             Self::complete_recv(inner, now.0, rdv.recv_req, buf, GateId(rdv.gate), rdv.tag);
         }
     }

@@ -79,53 +79,9 @@ impl WirePayload {
     /// variants are plain field copies. Retransmission queues use this so
     /// keeping a packet around for replay never clones the payload.
     pub fn share(&self) -> WirePayload {
-        match self {
-            WirePayload::Eager { tag, seq, data } => WirePayload::Eager {
-                tag: *tag,
-                seq: *seq,
-                data: data.share(),
-            },
-            WirePayload::Aggregate(frags) => WirePayload::Aggregate(
-                frags
-                    .iter()
-                    .map(|f| EagerFrag {
-                        tag: f.tag,
-                        seq: f.seq,
-                        data: f.data.share(),
-                    })
-                    .collect(),
-            ),
-            WirePayload::Rts { tag, seq, rdv_id, len } => WirePayload::Rts {
-                tag: *tag,
-                seq: *seq,
-                rdv_id: *rdv_id,
-                len: *len,
-            },
-            WirePayload::Cts { rdv_id } => WirePayload::Cts { rdv_id: *rdv_id },
-            WirePayload::Data { rdv_id, offset, data } => WirePayload::Data {
-                rdv_id: *rdv_id,
-                offset: *offset,
-                data: data.share(),
-            },
-            WirePayload::Ack { tag, next, credits } => WirePayload::Ack {
-                tag: *tag,
-                next: *next,
-                credits: *credits,
-            },
-            WirePayload::Credit { credits } => WirePayload::Credit {
-                credits: *credits,
-            },
-            WirePayload::RdvFin { rdv_id } => WirePayload::RdvFin { rdv_id: *rdv_id },
-            WirePayload::Probe { rail, seq } => WirePayload::Probe {
-                rail: *rail,
-                seq: *seq,
-            },
-            WirePayload::ProbeAck { rail, seq } => WirePayload::ProbeAck {
-                rail: *rail,
-                seq: *seq,
-            },
-            WirePayload::Revoke { epoch } => WirePayload::Revoke { epoch: *epoch },
-        }
+        // The derived clone copies header fields and clones each `NmBuf`,
+        // which is exactly `NmBuf::share`.
+        self.clone()
     }
 }
 
@@ -188,8 +144,13 @@ impl NmWire {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Incremental FNV-1a folding 8 bytes per step (payloads reach megabytes;
-/// byte-at-a-time hashing would dominate simulated-transfer setup cost).
+/// Bytes per block of the lane-parallel fold: one 8-byte word per lane.
+const BLOCK: usize = 32;
+
+/// Incremental FNV-1a over 64-bit words. Header fields go in one word at
+/// a time; payload bytes go through [`WireCrc::bytes`], which splits the
+/// serial multiply chain into four independent lanes so a megabyte seals
+/// at memory speed instead of at multiply latency (DESIGN.md §16).
 struct WireCrc(u64);
 
 impl WireCrc {
@@ -201,17 +162,28 @@ impl WireCrc {
         self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
     }
 
+    /// Fold a byte string: its length, then 32-byte blocks across four
+    /// FNV-1a lanes (word `i` of each block into lane `i`, each lane seeded
+    /// apart so words cannot trade lanes unnoticed), the lanes in order,
+    /// then the leftover whole words and the zero-padded tail.
     fn bytes(&mut self, b: &[u8]) {
         self.word(b.len() as u64);
-        let mut chunks = b.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().unwrap()));
+        let blocks = b.chunks_exact(BLOCK);
+        let rest = blocks.remainder();
+        if b.len() >= BLOCK {
+            let mut lanes = [1, 2, 3, 4].map(|i| FNV_OFFSET ^ i);
+            for block in blocks {
+                for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    *lane =
+                        (*lane ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME);
+                }
+            }
+            lanes.into_iter().for_each(|lane| self.word(lane));
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.word(u64::from_le_bytes(tail));
+        for w in rest.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            self.word(u64::from_le_bytes(word));
         }
     }
 }
@@ -388,5 +360,120 @@ mod tests {
             ..a
         };
         assert!(shared.crc_ok());
+    }
+
+    /// 1 KiB + 13 B: 32 whole blocks across the four lanes, one leftover
+    /// whole word and a 5-byte tail.
+    const PROBE_LEN: usize = 1024 + 13;
+
+    fn probe_bytes() -> Vec<u8> {
+        (0..PROBE_LEN).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    fn data_seal(bytes: &[u8], rdv_id: u64, offset: usize) -> u64 {
+        let data = NmBuf::from(bytes.to_vec());
+        NmWire::new(
+            3,
+            4,
+            WirePayload::Data {
+                rdv_id,
+                offset,
+                data,
+            },
+        )
+        .crc
+    }
+
+    #[test]
+    fn seal_detects_every_single_byte_change() {
+        let base = probe_bytes();
+        let sealed = data_seal(&base, 1, 0);
+        for i in 0..PROBE_LEN {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut b = base.clone();
+                b[i] ^= flip;
+                assert_ne!(
+                    data_seal(&b, 1, 0),
+                    sealed,
+                    "byte {i} ^ {flip:#x} went unseen"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seal_detects_words_swapped_across_lanes() {
+        let base = probe_bytes();
+        let sealed = data_seal(&base, 1, 0);
+        // Block 5: word 0 (lane 0) with word 2 (lane 2), and word 1 with
+        // word 3, plus the leftover word with the last block's lane 3.
+        for (a, b) in [(160, 176), (168, 184), (1024, 1016)] {
+            let mut swapped = base.clone();
+            let (wa, wb) = (swapped[a..a + 8].to_vec(), swapped[b..b + 8].to_vec());
+            assert_ne!(wa, wb);
+            swapped[a..a + 8].copy_from_slice(&wb);
+            swapped[b..b + 8].copy_from_slice(&wa);
+            assert_ne!(
+                data_seal(&swapped, 1, 0),
+                sealed,
+                "words at {a} and {b} swapped"
+            );
+        }
+    }
+
+    #[test]
+    fn seal_covers_length_and_placement() {
+        let base = probe_bytes();
+        let sealed = data_seal(&base, 1, 0);
+        let mut longer = base.clone();
+        longer.push(0);
+        assert_ne!(data_seal(&longer, 1, 0), sealed, "an appended zero byte");
+        assert_ne!(
+            data_seal(&base[..1024], 1, 0),
+            data_seal(&base[..1023], 1, 0)
+        );
+        assert_ne!(
+            data_seal(&base, 1, 8),
+            sealed,
+            "same bytes at another offset"
+        );
+        assert_ne!(
+            data_seal(&base, 2, 0),
+            sealed,
+            "same bytes for another rendezvous"
+        );
+        // The seal is recomputed over the bytes at delivery.
+        let w = NmWire::new(
+            3,
+            4,
+            WirePayload::Data {
+                rdv_id: 1,
+                offset: 0,
+                data: NmBuf::from(base),
+            },
+        );
+        assert!(w.crc_ok());
+    }
+
+    #[test]
+    fn seal_covers_aggregate_fragment_boundaries() {
+        let base = probe_bytes();
+        let agg = |cut: usize| {
+            let frag = |seq: u64, bytes: &[u8]| EagerFrag {
+                tag: 9,
+                seq,
+                data: NmBuf::from(bytes.to_vec()),
+            };
+            NmWire::new(
+                0,
+                1,
+                WirePayload::Aggregate(vec![frag(0, &base[..cut]), frag(1, &base[cut..])]),
+            )
+        };
+        let sealed = agg(500);
+        assert!(sealed.crc_ok());
+        for cut in [499, 501, 512, 0] {
+            assert_ne!(agg(cut).crc, sealed.crc, "boundary moved from 500 to {cut}");
+        }
     }
 }

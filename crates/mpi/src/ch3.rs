@@ -16,7 +16,7 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use nmad::protocol::{self, Action, State, Verdict};
 use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, NmBuf, Scheduler};
+use simnet::{BufOrigin, CopyMeter, NmBuf, NmLanding, Scheduler};
 
 use crate::queues::{Ch3Queues, UnexMsg};
 use crate::request::Req;
@@ -61,56 +61,49 @@ impl Ch3Pkt {
     /// charged to the payload's [`CopyMeter`] so the copy-discipline tests
     /// can prove the bypass path skips it.
     pub fn encode(&self) -> NmBuf {
-        let meter = match self {
-            Ch3Pkt::Eager { data, .. } | Ch3Pkt::Data { data, .. } => {
-                data.meter().map(Arc::clone)
-            }
-            _ => None,
-        };
-        let mut b = BytesMut::with_capacity(33 + 16);
-        match self {
+        let mut head = BytesMut::with_capacity(33);
+        let data = match self {
             Ch3Pkt::Eager { key, data } => {
-                b.extend_from_slice(&[0u8]);
-                b.extend_from_slice(&key.to_le_bytes());
-                b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                b.extend_from_slice(data);
+                head.put_u8(0);
+                head.put_u64_le(*key);
+                head.put_u64_le(data.len() as u64);
+                Some(data)
             }
             Ch3Pkt::Rts { key, rdv_id, len } => {
-                b.extend_from_slice(&[1u8]);
-                b.extend_from_slice(&key.to_le_bytes());
-                b.extend_from_slice(&rdv_id.to_le_bytes());
-                b.extend_from_slice(&(*len as u64).to_le_bytes());
+                head.put_u8(1);
+                head.put_u64_le(*key);
+                head.put_u64_le(*rdv_id);
+                head.put_u64_le(*len as u64);
+                None
             }
             Ch3Pkt::Cts { rdv_id } => {
-                b.extend_from_slice(&[2u8]);
-                b.extend_from_slice(&rdv_id.to_le_bytes());
+                head.put_u8(2);
+                head.put_u64_le(*rdv_id);
+                None
             }
             Ch3Pkt::Data {
                 rdv_id,
                 offset,
                 data,
             } => {
-                b.extend_from_slice(&[3u8]);
-                b.extend_from_slice(&rdv_id.to_le_bytes());
-                b.extend_from_slice(&(*offset as u64).to_le_bytes());
-                b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                b.extend_from_slice(data);
+                head.put_u8(3);
+                head.put_u64_le(*rdv_id);
+                head.put_u64_le(*offset as u64);
+                head.put_u64_le(data.len() as u64);
+                Some(data)
             }
             Ch3Pkt::DataAck { rdv_id } => {
-                b.extend_from_slice(&[4u8]);
-                b.extend_from_slice(&rdv_id.to_le_bytes());
+                head.put_u8(4);
+                head.put_u64_le(*rdv_id);
+                None
             }
-        }
-        let frame = b.freeze();
-        match meter {
-            Some(m) => {
-                // One fresh allocation plus a memcpy of the whole frame —
-                // the tunnel's per-packet cost the bypass avoids.
-                m.record_alloc();
-                m.record_copy(frame.len());
-                NmBuf::adopt(frame, BufOrigin::Ch3, &m)
-            }
-            None => NmBuf::from_bytes(frame, BufOrigin::Ch3),
+        };
+        let body = data.map_or(&[][..], |d| d.as_slice());
+        match data.and_then(NmBuf::meter) {
+            // One fresh allocation plus a memcpy of the whole frame — the
+            // tunnel's per-packet cost the bypass avoids.
+            Some(m) => NmBuf::gathered(&[&head, body], BufOrigin::Ch3, m),
+            None => NmBuf::from_bytes(Bytes::from([&head[..], body].concat()), BufOrigin::Ch3),
         }
     }
 
@@ -205,7 +198,7 @@ struct RdvIn {
     src: usize,
     key: u64,
     was_any: bool,
-    buf: Vec<u8>,
+    buf: NmLanding,
     received: usize,
 }
 
@@ -230,8 +223,9 @@ pub struct Ch3Engine {
     /// dip, Fig. 4b).
     rdv_ack: bool,
     /// Copy accounting for the engine's own buffer work (rendezvous
-    /// landing buffers, the receive-side reassembly memcpy).
-    meter: Option<Arc<CopyMeter>>,
+    /// landing buffers, the receive-side reassembly memcpy). A private
+    /// meter until the stack attaches the job's.
+    meter: Arc<CopyMeter>,
     /// Observability handle: CH3 protocol counters (eager/RTS/CTS/DATA
     /// traffic). Inert — and allocation-free — unless the job armed
     /// `ObsConfig`.
@@ -272,7 +266,7 @@ impl Ch3Engine {
             eager_threshold,
             rdv_chunk,
             rdv_ack,
-            meter: None,
+            meter: CopyMeter::new(),
             rec: obs::RankRec::off(),
             protocol_errors: AtomicU64::new(0),
         }
@@ -290,7 +284,7 @@ impl Ch3Engine {
     /// Attach the job-wide copy meter (builder style — the stack assembles
     /// engines before handing them to `ProcState`).
     pub fn with_copy_meter(mut self, meter: &Arc<CopyMeter>) -> Ch3Engine {
-        self.meter = Some(Arc::clone(meter));
+        self.meter = Arc::clone(meter);
         self
     }
 
@@ -441,10 +435,8 @@ impl Ch3Engine {
         debug_assert!(actions.contains(&Action::AllocLanding));
         debug_assert!(actions.contains(&Action::SendCts));
         debug_assert_eq!(next, State::RWaitData);
-        if let Some(m) = &self.meter {
-            // The rendezvous landing buffer — one allocation, no copy yet.
-            m.record_alloc();
-        }
+        // The rendezvous landing buffer — one allocation, no copy yet.
+        let buf = NmBuf::landing(len, BufOrigin::Ch3, &self.meter);
         let mut inner = self.inner.lock();
         let prev = inner.rdv_in.insert(
             (src, rdv_id),
@@ -453,7 +445,7 @@ impl Ch3Engine {
                 src,
                 key,
                 was_any,
-                buf: vec![0u8; len],
+                buf,
                 received: 0,
             },
         );
@@ -612,7 +604,7 @@ impl Ch3Engine {
                         if let Some(rdv) = finished {
                             events.push(Ch3Event::RecvDone {
                                 req: rdv.req,
-                                data: Bytes::from(rdv.buf),
+                                data: rdv.buf.freeze().into_bytes(),
                                 src: rdv.src,
                                 key: rdv.key,
                                 was_any: rdv.was_any,

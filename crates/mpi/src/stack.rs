@@ -792,6 +792,16 @@ pub fn run_mpi(
         }
         panic!("MPI job '{}' failed: {e}", cfg.name);
     });
+    // Teardown: the fabric sinks close over the cores that hold the
+    // fabric, and each PIOMan ltask over the rank state that holds its
+    // server. Break both cycles so the job's state — its copy meter and
+    // recycled payload storage included — is freed when this returns.
+    if let Some(fabric) = &nm_fabric {
+        fabric.clear_sinks();
+    }
+    for server in piom_servers.iter().flatten() {
+        server.stop();
+    }
     // Conformance mode: a trace that stepped outside the protocol table is
     // a failure of the run, not a statistic to squint at.
     if let Some(rec) = &recorder {

@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, NmBuf, Scheduler, SimDuration, SimTime};
+use simnet::{BufOrigin, CopyMeter, NmBuf, NmLanding, Scheduler, SimDuration, SimTime};
 
 use crate::cell::{CellHandle, CellPool, MsgHeader, MsgKind, CELL_PAYLOAD};
 use crate::mailbox::Mailbox;
@@ -82,7 +82,19 @@ struct PendingOut {
 /// Reassembly state for one in-flight inbound message.
 struct Partial {
     header: MsgHeader,
-    buf: Vec<u8>,
+    buf: NmLanding,
+    /// Bytes already copied out of cells, in order.
+    filled: usize,
+}
+
+impl Partial {
+    /// Copy the next fragment out of its cell (the copy-out half of the
+    /// copy-in/copy-out pair).
+    fn land(&mut self, frag: &[u8], meter: &CopyMeter) {
+        self.buf[self.filled..self.filled + frag.len()].copy_from_slice(frag);
+        self.filled += frag.len();
+        meter.record_copy(frag.len());
+    }
 }
 
 /// Incremental accounting of the bytes an endpoint has parked in
@@ -404,19 +416,14 @@ impl ShmDomain {
             MsgKind::First => {
                 // Reassembly landing buffer: allocated once at the final
                 // size, then each fragment is copied out of its cell.
-                let mut buf = Vec::with_capacity(cell.header.total_len);
-                buf.extend_from_slice(cell.payload());
-                self.meter.record_alloc();
-                self.meter.record_copy(cell.payload().len());
+                let mut partial = Partial {
+                    header: cell.header,
+                    buf: NmBuf::landing(cell.header.total_len, BufOrigin::Nemesis, &self.meter),
+                    filled: 0,
+                };
+                partial.land(cell.payload(), &self.meter);
                 ep.reasm.lock().charge(cell.payload().len());
-                let mut partials = ep.partials.lock();
-                let prev = partials.insert(
-                    cell.header.src_rank,
-                    Partial {
-                        header: cell.header,
-                        buf,
-                    },
-                );
+                let prev = ep.partials.lock().insert(cell.header.src_rank, partial);
                 assert!(
                     prev.is_none(),
                     "interleaved fragments from rank {} — per-sender FIFO violated",
@@ -429,24 +436,18 @@ impl ShmDomain {
                 let partial = partials
                     .get_mut(&cell.header.src_rank)
                     .expect("Middle/Last fragment without a First");
-                partial.buf.extend_from_slice(cell.payload());
-                self.meter.record_copy(cell.payload().len());
+                partial.land(cell.payload(), &self.meter);
                 ep.reasm.lock().charge(cell.payload().len());
                 if cell.kind == MsgKind::Last {
                     let done = partials.remove(&cell.header.src_rank).unwrap();
-                    ep.reasm.lock().release(done.buf.len());
+                    ep.reasm.lock().release(done.filled);
                     assert_eq!(
-                        done.buf.len(),
-                        done.header.total_len,
+                        done.filled, done.header.total_len,
                         "reassembled length mismatch"
                     );
-                    // Freezing the landing buffer into an NmBuf is
-                    // zero-copy (Vec -> refcounted storage handoff); the
+                    // Freezing the landing buffer is zero-copy; the
                     // allocation was already charged at the First fragment.
-                    Some((
-                        done.header,
-                        NmBuf::adopt(done.buf.into(), BufOrigin::Nemesis, &self.meter),
-                    ))
+                    Some((done.header, done.buf.freeze()))
                 } else {
                     None
                 }

@@ -271,9 +271,11 @@ impl PiomServer {
         });
     }
 
-    /// Stop all background activity (teardown).
+    /// Stop all background activity (teardown) and release the ltasks,
+    /// which may close over state that owns this server.
     pub fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
+        self.ltasks.lock().clear();
     }
 }
 

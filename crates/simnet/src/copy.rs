@@ -18,6 +18,13 @@
 //!   refcount bump, never a memcpy, and is recorded on the attached meter
 //!   as a slice-ref — so the counters distinguish "the payload crossed a
 //!   layer" from "the payload was duplicated".
+//! * [`NmLanding`] — a zeroed, writable receive buffer that a layer fills
+//!   chunk by chunk and then [freezes](NmLanding::freeze) into an `NmBuf`.
+//!
+//! Payload storage of [`POOL_FLOOR`] bytes and more is recycled: the meter
+//! owns a free list of power-of-two size classes, and storage goes back to
+//! its class when the last view of it drops (DESIGN.md §16). Recycling
+//! changes no count — a recycled buffer is still one recorded allocation.
 //!
 //! Determinism: the simulation is logically single-threaded (a single
 //! execution token is handed between the engine and rank threads), so the
@@ -29,6 +36,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
+
+/// Smallest payload whose storage the job recycles. Below it, malloc's
+/// own bins already reuse freed chunks without a system call; above it,
+/// glibc serves and returns storage with `mmap`/trim, so every message
+/// would fault its pages in afresh.
+pub const POOL_FLOOR: usize = 64 * 1024;
 
 /// Which layer first materialized a payload allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +106,9 @@ pub struct CopyMeter {
     memcpy_calls: AtomicU64,
     allocations: AtomicU64,
     slice_refs: AtomicU64,
+    /// The job's recycled payload storage. Views hold the pool too, so it
+    /// outlives the meter until the last pooled payload drops.
+    pool: Arc<PayloadPool>,
 }
 
 impl CopyMeter {
@@ -125,6 +142,166 @@ impl CopyMeter {
     }
 }
 
+/// Free storage of one power-of-two size class.
+#[derive(Default)]
+struct SizeClass {
+    free: Vec<Vec<u8>>,
+    /// Buffers of this class currently handed out.
+    live: usize,
+    /// Most buffers of this class ever handed out at once.
+    high_water: usize,
+}
+
+impl std::fmt::Debug for SizeClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "free={} live={} hwm={}",
+            self.free.len(),
+            self.live,
+            self.high_water
+        )
+    }
+}
+
+/// Payload storage of [`POOL_FLOOR`] bytes and more, recycled per job.
+/// Class `i` holds buffers with a capacity of `POOL_FLOOR << i` bytes. A
+/// class never retains more buffers than its live high-water mark:
+/// storage only enters the free list when a live buffer returns, and
+/// `free + live` never exceeds `high_water`.
+#[derive(Debug, Default)]
+struct PayloadPool {
+    classes: Mutex<Vec<SizeClass>>,
+}
+
+impl PayloadPool {
+    fn class_of(cap: usize) -> usize {
+        (cap / POOL_FLOOR).trailing_zeros() as usize
+    }
+
+    /// Storage with room for `len >= POOL_FLOOR` bytes: `len` zero bytes
+    /// when `zeroed` is set, else empty for the caller to fill.
+    fn take(self: &Arc<Self>, len: usize, zeroed: bool) -> PooledStorage {
+        debug_assert!(len >= POOL_FLOOR);
+        let cap = len.next_power_of_two();
+        let class = Self::class_of(cap);
+        let recycled = {
+            let mut classes = self.classes.lock();
+            if classes.len() <= class {
+                classes.resize_with(class + 1, SizeClass::default);
+            }
+            let c = &mut classes[class];
+            c.live += 1;
+            c.high_water = c.high_water.max(c.live);
+            c.free.pop()
+        };
+        // `with_capacity` allocates exactly `cap`, which names the class
+        // the buffer returns to; filling within it never reallocates.
+        let mut buf = recycled.unwrap_or_else(|| Vec::with_capacity(cap));
+        buf.clear();
+        if zeroed {
+            buf.resize(len, 0);
+        }
+        PooledStorage {
+            buf,
+            pool: Arc::clone(self),
+        }
+    }
+
+    fn give_back(&self, buf: Vec<u8>) {
+        let mut classes = self.classes.lock();
+        let c = &mut classes[Self::class_of(buf.capacity())];
+        c.live -= 1;
+        debug_assert!(c.free.len() + c.live < c.high_water);
+        c.free.push(buf);
+    }
+
+    #[cfg(test)]
+    fn retained(&self) -> Vec<(usize, usize)> {
+        let classes = self.classes.lock();
+        classes
+            .iter()
+            .map(|c| (c.free.len(), c.high_water))
+            .collect()
+    }
+}
+
+/// One pooled buffer; dropping it returns the storage to its class.
+struct PooledStorage {
+    buf: Vec<u8>,
+    pool: Arc<PayloadPool>,
+}
+
+impl AsRef<[u8]> for PooledStorage {
+    fn as_ref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl Drop for PooledStorage {
+    fn drop(&mut self) {
+        self.pool.give_back(std::mem::take(&mut self.buf));
+    }
+}
+
+/// Backing store of an [`NmLanding`]: plain heap below the pool floor.
+enum Landing {
+    Heap(Vec<u8>),
+    Pooled(PooledStorage),
+}
+
+/// A receive buffer under construction: zeroed storage of the final size,
+/// filled chunk by chunk through `DerefMut` (each fill charged as a memcpy
+/// where it happens), then [frozen](NmLanding::freeze) into an [`NmBuf`]
+/// without a copy. Made by [`NmBuf::landing`].
+pub struct NmLanding {
+    storage: Landing,
+    origin: BufOrigin,
+    meter: Arc<CopyMeter>,
+}
+
+impl std::fmt::Debug for NmLanding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "NmLanding({:?}, {} B)", self.origin, self.len())
+    }
+}
+
+impl NmLanding {
+    /// Hand the filled buffer on, zero-copy. The allocation was charged
+    /// when the landing buffer was made.
+    pub fn freeze(self) -> NmBuf {
+        let data = match self.storage {
+            Landing::Heap(v) => Bytes::from(v),
+            Landing::Pooled(p) => Bytes::from_owner(p),
+        };
+        NmBuf {
+            data,
+            origin: self.origin,
+            generation: 0,
+            meter: Some(self.meter),
+        }
+    }
+}
+
+impl std::ops::Deref for NmLanding {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.storage {
+            Landing::Heap(v) => v,
+            Landing::Pooled(p) => &p.buf,
+        }
+    }
+}
+
+impl std::ops::DerefMut for NmLanding {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match &mut self.storage {
+            Landing::Heap(v) => v,
+            Landing::Pooled(p) => &mut p.buf,
+        }
+    }
+}
+
 /// The payload buffer carried across the stack's layer boundaries.
 ///
 /// An `NmBuf` is a [`Bytes`] view (refcounted storage + start/end) plus
@@ -134,8 +311,9 @@ impl CopyMeter {
 /// * [`NmBuf::share`] / `Clone` — refcount bump, recorded as a slice-ref.
 /// * [`NmBuf::slice`] — zero-copy sub-view (aggregation, multirail
 ///   splitting, fragment cursors), recorded as a slice-ref.
-/// * [`NmBuf::copy_out`] / [`NmBuf::copied_from_slice`] — the only
-///   operations that move bytes, recorded as memcpys.
+/// * [`NmBuf::copy_out`] / [`NmBuf::copied_from_slice`] /
+///   [`NmBuf::gathered`] — the only operations that move bytes, recorded
+///   as memcpys.
 ///
 /// The meter travels *with* the buffer, so layers that merely forward a
 /// payload need no meter plumbing of their own, and a payload that
@@ -173,29 +351,49 @@ impl NmBuf {
     }
 
     /// Materialize a fresh owned buffer by copying `src` (the unavoidable
-    /// user-slice → owned-storage ingress copy, landing-buffer freezes,
-    /// codec output…). Records one allocation and one memcpy.
+    /// user-slice → owned-storage ingress copy, cell copy-out…). Records
+    /// one allocation and one memcpy.
     pub fn copied_from_slice(src: &[u8], origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmBuf {
+        NmBuf::gathered(&[src], origin, meter)
+    }
+
+    /// Materialize a fresh owned buffer holding `parts` back to back
+    /// (codec output: header then payload). Records one allocation and
+    /// one memcpy of the total length. Storage of [`POOL_FLOOR`] bytes or
+    /// more is drawn from the meter's pool and written here in full.
+    pub fn gathered(parts: &[&[u8]], origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmBuf {
+        let len = parts.iter().map(|p| p.len()).sum();
         meter.record_alloc();
-        meter.record_copy(src.len());
+        meter.record_copy(len);
+        let data = if len < POOL_FLOOR {
+            Bytes::from(parts.concat())
+        } else {
+            let mut storage = meter.pool.take(len, false);
+            parts.iter().for_each(|p| storage.buf.extend_from_slice(p));
+            Bytes::from_owner(storage)
+        };
         NmBuf {
-            data: Bytes::copy_from_slice(src),
+            data,
             origin,
             generation: 0,
             meter: Some(Arc::clone(meter)),
         }
     }
 
-    /// Take ownership of a `Vec` the caller just filled (counts the
-    /// allocation; the fill itself is charged where the bytes were
-    /// written).
-    pub fn from_vec(v: Vec<u8>, origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmBuf {
+    /// A zeroed landing buffer of `len` bytes for a receive to fill
+    /// (rendezvous and cell reassembly). Records one allocation; storage
+    /// of [`POOL_FLOOR`] bytes or more comes from the meter's pool.
+    pub fn landing(len: usize, origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmLanding {
         meter.record_alloc();
-        NmBuf {
-            data: Bytes::from(v),
+        let storage = if len < POOL_FLOOR {
+            Landing::Heap(vec![0u8; len])
+        } else {
+            Landing::Pooled(meter.pool.take(len, true))
+        };
+        NmLanding {
+            storage,
             origin,
-            generation: 0,
-            meter: Some(Arc::clone(meter)),
+            meter: Arc::clone(meter),
         }
     }
 
@@ -397,5 +595,101 @@ mod tests {
         let b2 = buf.share().share();
         assert_eq!(b2.origin(), BufOrigin::Ch3);
         assert_eq!(b2.lineage(), "Ch3+2g/4B");
+    }
+
+    const BIG: usize = POOL_FLOOR + 13;
+
+    #[test]
+    fn recycled_landing_storage_is_handed_out_zeroed() {
+        let meter = CopyMeter::new();
+        let mut land = NmBuf::landing(BIG, BufOrigin::Nmad, &meter);
+        assert!(land.iter().all(|&b| b == 0));
+        land.fill(0xEE);
+        let first = land.freeze();
+        let ptr = first.bytes().storage_ptr();
+        drop(first);
+        // An ingress copy reuses the storage and overwrites it entirely.
+        let ingress = NmBuf::copied_from_slice(&[0x5A; BIG], BufOrigin::App, &meter);
+        assert_eq!(ingress.bytes().storage_ptr(), ptr, "storage was recycled");
+        assert!(ingress.iter().all(|&b| b == 0x5A));
+        drop(ingress);
+        let again = NmBuf::landing(BIG - 1, BufOrigin::Ch3, &meter);
+        assert_eq!(again.as_ptr(), ptr, "storage was recycled again");
+        assert_eq!(again.len(), BIG - 1);
+        assert!(again.iter().all(|&b| b == 0), "no stale byte is observable");
+        // Every buffer still counts as one allocation.
+        let s = meter.snapshot();
+        assert_eq!(
+            (s.allocations, s.memcpy_calls, s.bytes_copied),
+            (3, 1, BIG as u64)
+        );
+    }
+
+    #[test]
+    fn pooled_views_keep_bytes_semantics() {
+        let meter = CopyMeter::new();
+        let mut land = NmBuf::landing(BIG, BufOrigin::Nemesis, &meter);
+        for (i, b) in land.iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let buf = land.freeze();
+        assert_eq!(buf.len(), BIG);
+        assert_eq!(buf.origin(), BufOrigin::Nemesis);
+        assert_eq!(buf.bytes().ref_count(), Some(1));
+        let tail = buf.slice(BIG - 3..);
+        let whole = buf.share();
+        assert_eq!(tail.bytes().storage_ptr(), buf.bytes().storage_ptr());
+        assert_eq!(buf.bytes().ref_count(), Some(3));
+        let expect: Vec<u8> = (BIG - 3..BIG).map(|i| i as u8).collect();
+        assert_eq!(tail.as_slice(), &expect[..]);
+        let heap: Vec<u8> = (0..BIG).map(|i| i as u8).collect();
+        assert_eq!(whole, NmBuf::from(heap), "equality is over contents");
+        drop(buf);
+        drop(whole);
+        assert_eq!(tail.bytes().ref_count(), Some(1));
+        let s = meter.snapshot();
+        assert_eq!((s.allocations, s.memcpy_calls, s.slice_refs), (1, 0, 2));
+    }
+
+    #[test]
+    fn a_class_retains_at_most_its_live_high_water() {
+        let meter = CopyMeter::new();
+        let three: Vec<NmBuf> = (0..3)
+            .map(|_| NmBuf::copied_from_slice(&[1; BIG], BufOrigin::App, &meter))
+            .collect();
+        drop(three);
+        assert_eq!(meter.pool.retained(), vec![(0, 0), (3, 3)]);
+        // Sequential use recycles one buffer and adds nothing.
+        for _ in 0..5 {
+            let b = NmBuf::landing(BIG, BufOrigin::Nmad, &meter).freeze();
+            drop(b);
+        }
+        assert_eq!(meter.pool.retained(), vec![(0, 0), (3, 3)]);
+        // Four at once raises the mark by one; all four come back.
+        let four: Vec<NmLanding> = (0..4)
+            .map(|_| NmBuf::landing(BIG, BufOrigin::Nmad, &meter))
+            .collect();
+        assert_eq!(meter.pool.retained(), vec![(0, 0), (0, 4)]);
+        drop(four);
+        assert_eq!(meter.pool.retained(), vec![(0, 0), (4, 4)]);
+        // Other classes keep their own marks; below the floor is heap.
+        drop(NmBuf::landing(4 * POOL_FLOOR, BufOrigin::Nmad, &meter));
+        drop(NmBuf::landing(POOL_FLOOR - 1, BufOrigin::Nmad, &meter));
+        assert_eq!(meter.pool.retained(), vec![(0, 0), (4, 4), (1, 1)]);
+    }
+
+    #[test]
+    fn pool_is_freed_after_the_meter_and_last_view_drop() {
+        let meter = CopyMeter::new();
+        let pool = Arc::downgrade(&meter.pool);
+        let kept = NmBuf::landing(BIG, BufOrigin::Nmad, &meter).freeze();
+        drop(NmBuf::copied_from_slice(&[7; BIG], BufOrigin::App, &meter));
+        drop(meter);
+        assert!(pool.upgrade().is_some(), "a live view keeps its pool");
+        let view = kept.slice(1..);
+        drop(kept);
+        assert!(pool.upgrade().is_some());
+        drop(view);
+        assert!(pool.upgrade().is_none(), "pool and free storage freed");
     }
 }

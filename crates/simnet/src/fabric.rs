@@ -211,6 +211,12 @@ impl<M: Send + 'static> Fabric<M> {
         self.sinks.lock()[node.0] = Some(sink);
     }
 
+    /// Drop every sink (teardown): sinks close over receivers that may
+    /// hold this fabric.
+    pub fn clear_sinks(&self) {
+        self.sinks.lock().iter_mut().for_each(|s| *s = None);
+    }
+
     /// Convenience: submit a transfer on `rail` from `src`.
     #[allow(clippy::too_many_arguments)]
     pub fn send(

@@ -61,7 +61,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf};
+pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf, NmLanding};
 pub use ctx::RankCtx;
 pub use engine::{RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome, WakeCell};
 pub use fabric::{Delivery, Fabric, FabricOpts, RailId, WireMessage};
