@@ -21,7 +21,6 @@ use nmad::pack::{PacketWrapper, PwBody, PwId};
 use nmad::sampling::{split_sizes, LinkProfile};
 use nmad::sr::RecvReqId;
 use nmad::{NmConfig, RailHealth, SendReqId, StrategyKind};
-use mpi_ch3::{run_threaded, ThreadedConfig};
 use simnet::event::{EventKind, EventQueue, HeapEventQueue};
 use simnet::{BufOrigin, CopyMeter, NmBuf, SimDuration, SimTime};
 
@@ -370,39 +369,6 @@ fn copy_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn threaded_injection(c: &mut Criterion) {
-    // The real-thread hot path end to end: producers fill + CRC-seal
-    // cells, the per-VC consumers verify and tag-match them through the
-    // sharded engine, with flow control armed. One "element" = one
-    // delivered message. The recorded trajectory (BENCH_10.json) and the
-    // CI perf gate use the larger standalone harness; this group gives
-    // criterion-grade per-message numbers for quick A/B work.
-    const MSGS: u64 = 4_000;
-    let mut g = c.benchmark_group("threaded-injection");
-    g.sample_size(10);
-    for producers in [1usize, 4, 16] {
-        let cfg = ThreadedConfig {
-            producers,
-            vcs: 4,
-            window: (64 / producers).max(2),
-            msgs_per_producer: MSGS / producers as u64,
-            payload_bytes: 256,
-            rdv_every: 8,
-            eager_credits: 32,
-        };
-        g.throughput(Throughput::Elements(cfg.msgs_per_producer * producers as u64));
-        let id = format!("{producers}-producers");
-        g.bench_function(&id, |b| {
-            b.iter(|| {
-                let r = run_threaded(cfg);
-                assert_eq!(r.fifo_violations, 0);
-                r.total_msgs
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     nem_queue,
@@ -411,7 +377,6 @@ criterion_group!(
     sampling,
     event_queue,
     full_stack_pingpong,
-    copy_path,
-    threaded_injection
+    copy_path
 );
 criterion_main!(benches);

@@ -7,6 +7,5 @@
 
 pub mod experiments;
 pub mod render;
-pub mod threaded_injection;
 
 pub use experiments::*;

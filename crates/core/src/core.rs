@@ -282,10 +282,10 @@ struct Inner {
     /// Submission windows, keyed by destination rank. BTreeMap for
     /// deterministic iteration.
     gates: BTreeMap<usize, VecDeque<PacketWrapper>>,
-    /// Tag matching, sharded per source gate so injector threads and the
-    /// progress engine match traffic from different peers concurrently
-    /// (the single-queue `MatchEngine` remains as the differential
-    /// oracle — see `tests/matcher_differential.rs`).
+    /// Tag matching, sharded per source gate: arrivals and posts touch
+    /// only their gate's queues, and ANY_SOURCE arbitration uses a global
+    /// arrival ticket (the single-queue `MatchEngine` remains as the
+    /// differential oracle — see `tests/matcher_differential.rs`).
     matching: ShardedMatchEngine,
     send_reqs: Vec<SendReq>,
     recv_reqs: Vec<RecvReq>,
@@ -322,10 +322,9 @@ struct Inner {
     /// peer into a rail that just died.
     last_in_rail: HashMap<usize, usize>,
     /// Flow control, sender side: remaining eager credits per destination
-    /// gate (lazily seeded from `FlowConfig::eager_credits`). Lock-free
-    /// pools shared by `Arc` so real-thread injectors can admit eager
-    /// sends without taking the core mutex (see [`crate::credit`]).
-    send_credits: Arc<CreditBank>,
+    /// gate (lazily seeded from `FlowConfig::eager_credits`; see
+    /// [`crate::credit`]).
+    send_credits: CreditBank,
     /// Bytes of unexpected eager payload currently buffered (receiver
     /// side; always tracked — it feeds `fc_peak_unex_bytes`).
     unex_eager_bytes: usize,
@@ -543,9 +542,7 @@ impl NmCore {
             .map(|(r, _)| r);
         // Pools are only consulted when flow control is armed; a 0-capacity
         // bank is inert (and never reached) otherwise.
-        let send_credits = Arc::new(CreditBank::new(
-            cfg.flow.map(|fc| fc.eager_credits).unwrap_or(0),
-        ));
+        let send_credits = CreditBank::new(cfg.flow.map(|fc| fc.eager_credits).unwrap_or(0));
         Arc::new(NmCore {
             rank,
             net,
@@ -598,12 +595,6 @@ impl NmCore {
     /// This core's global rank.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// The lock-free eager credit bank, shared with real-thread injectors
-    /// so admission control never takes the core mutex.
-    pub fn credit_bank(&self) -> Arc<CreditBank> {
-        Arc::clone(&self.inner.lock().send_credits)
     }
 
     /// Sampled rail profiles (for diagnostics and the harnesses).

@@ -1,14 +1,12 @@
 //! Lock-free eager credit pools.
 //!
 //! Flow control charges every eager send one credit from the destination
-//! gate's pool. On the single-threaded simulator path that pool used to be
-//! a plain `HashMap<usize, u32>` inside the core's big mutex; the
-//! real-thread front end wants to admit sends *without* taking that mutex,
-//! so the pool is now a [`CreditPool`] — one `AtomicU32` per gate, CAS
-//! acquire / clamped-CAS release — shared by `Arc` between the locked core
-//! and any injector threads. The [`CreditBank`] is the per-gate registry:
-//! lazily populated on first contact (preserving the O(active-flows)
-//! peer-state accounting), drained when a peer dies.
+//! gate's pool. Each pool is a [`CreditPool`] — one `AtomicU32`, CAS
+//! acquire / clamped-CAS release — so admission and return are correct
+//! under any interleaving of concurrent callers, not just under the core's
+//! mutex. The [`CreditBank`] is the per-gate registry the core keeps
+//! inside its own lock: lazily populated on first contact (preserving the
+//! O(active-flows) peer-state accounting), drained when a peer dies.
 //!
 //! Conservation invariant (model-checked in `tests/loom_queue.rs`): with
 //! capacity `C`, at all times `available + in_flight == C` — acquires and
@@ -16,7 +14,6 @@
 //! pool above `C`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicU32, Ordering};
@@ -90,13 +87,12 @@ impl CreditPool {
 }
 
 /// Per-gate registry of [`CreditPool`]s, lazily seeded at `cap` credits on
-/// first contact with a gate. The registry itself is touched rarely (first
-/// contact, drains, snapshots); the hot-path acquire/release goes through
-/// the per-gate atomics.
+/// first contact with a gate. Its owner serialises access (the core keeps
+/// it inside its mutex), so the registry needs no lock of its own.
 #[derive(Debug, Default)]
 pub struct CreditBank {
     cap: u32,
-    pools: parking_lot::Mutex<HashMap<usize, Arc<CreditPool>>>,
+    pools: HashMap<usize, CreditPool>,
 }
 
 impl CreditBank {
@@ -104,64 +100,59 @@ impl CreditBank {
     pub fn new(cap: u32) -> CreditBank {
         CreditBank {
             cap,
-            pools: parking_lot::Mutex::new(HashMap::new()),
+            pools: HashMap::new(),
         }
     }
 
-    /// The gate's pool, created full on first use. The returned `Arc` can
-    /// be cached by injector threads to skip the registry lock entirely.
-    pub fn pool(&self, gate: usize) -> Arc<CreditPool> {
-        Arc::clone(
-            self.pools
-                .lock()
-                .entry(gate)
-                .or_insert_with(|| Arc::new(CreditPool::new(self.cap))),
-        )
+    /// The gate's pool, created full on first use.
+    fn pool(&mut self, gate: usize) -> &CreditPool {
+        let cap = self.cap;
+        self.pools
+            .entry(gate)
+            .or_insert_with(|| CreditPool::new(cap))
     }
 
-    /// Take one credit from `gate`'s pool (creating the pool if this is
-    /// first contact, mirroring the old lazy `HashMap::entry` seeding —
-    /// a failed admission still materializes the peer entry).
-    pub fn try_acquire(&self, gate: usize) -> bool {
+    /// Take one credit from `gate`'s pool, creating the pool on first
+    /// contact: a failed admission still materializes the peer entry, which
+    /// the core's peer-entry accounting counts.
+    pub fn try_acquire(&mut self, gate: usize) -> bool {
         self.pool(gate).try_acquire()
     }
 
     /// Return `n` credits to `gate`'s pool, clamped to capacity.
-    pub fn release(&self, gate: usize, n: u32) {
+    pub fn release(&mut self, gate: usize, n: u32) {
         self.pool(gate).release(n);
     }
 
     /// Drop `gate`'s pool (peer drain), returning the credits that were
     /// still available in it — the caller computes how many were in flight.
-    pub fn remove(&self, gate: usize) -> Option<u32> {
-        self.pools
-            .lock()
-            .remove(&gate)
-            .map(|p| p.available())
+    pub fn remove(&mut self, gate: usize) -> Option<u32> {
+        self.pools.remove(&gate).map(|p| p.available())
     }
 
     /// Does `gate` have a materialized pool? (Peer-entry accounting.)
     pub fn contains(&self, gate: usize) -> bool {
-        self.pools.lock().contains_key(&gate)
+        self.pools.contains_key(&gate)
     }
 
     /// Number of materialized pools. (Peer-entry accounting.)
     pub fn len(&self) -> usize {
-        self.pools.lock().len()
+        self.pools.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.pools.lock().is_empty()
+        self.pools.is_empty()
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn acquire_exhausts_then_stalls() {
-        let bank = CreditBank::new(2);
+        let mut bank = CreditBank::new(2);
         assert!(bank.try_acquire(7));
         assert!(bank.try_acquire(7));
         assert!(!bank.try_acquire(7));
@@ -171,7 +162,7 @@ mod tests {
 
     #[test]
     fn failed_admission_still_materializes_the_peer_entry() {
-        let bank = CreditBank::new(0);
+        let mut bank = CreditBank::new(0);
         assert!(!bank.try_acquire(3));
         assert!(bank.contains(3));
         assert_eq!(bank.len(), 1);
@@ -189,7 +180,7 @@ mod tests {
 
     #[test]
     fn remove_reports_remaining_credits() {
-        let bank = CreditBank::new(8);
+        let mut bank = CreditBank::new(8);
         assert!(bank.try_acquire(1));
         assert!(bank.try_acquire(1));
         assert_eq!(bank.remove(1), Some(6));
@@ -199,30 +190,35 @@ mod tests {
 
     #[test]
     fn concurrent_acquire_release_conserves_credits() {
-        let pool = Arc::new(CreditPool::new(4));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    let mut held = 0u32;
-                    for _ in 0..10_000 {
-                        if pool.try_acquire() {
-                            held += 1;
-                        } else if held > 0 {
+        // 16 threads on a 4-credit pool keep it empty most of the time, so
+        // the CAS loops race on both the zero and the capacity boundary.
+        for threads in [4, 16] {
+            let pool = Arc::new(CreditPool::new(4));
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    let pool = Arc::clone(&pool);
+                    std::thread::spawn(move || {
+                        let mut held = 0u32;
+                        for _ in 0..50_000 {
+                            if pool.try_acquire() {
+                                held += 1;
+                                assert!(held <= pool.capacity(), "a credit was minted");
+                            } else if held > 0 {
+                                pool.release(1);
+                                held -= 1;
+                            }
+                        }
+                        while held > 0 {
                             pool.release(1);
                             held -= 1;
                         }
-                    }
-                    while held > 0 {
-                        pool.release(1);
-                        held -= 1;
-                    }
+                    })
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            assert_eq!(pool.available(), 4, "{threads} threads");
         }
-        assert_eq!(pool.available(), 4);
     }
 }

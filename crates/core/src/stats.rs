@@ -194,25 +194,44 @@ mod tests {
         assert_eq!(s.get(stat::eager_sends), 2);
     }
 
+    /// One writer's share of a concurrent run: a fixed mix of additive
+    /// bumps and high-water raises, a function of `k` only.
+    fn bump_run(s: &StatsCells, k: u64) {
+        for i in 0..1000 {
+            s.add(stat::packets_sent, 1);
+            if i % 7 == 0 {
+                s.add(stat::rdv_sends, 1);
+            } else {
+                s.add(stat::eager_sends, 1);
+                s.add(stat::fc_credits_returned, 1);
+            }
+            s.raise(stat::fc_peak_unex_bytes, k * 1000 + i);
+        }
+    }
+
     #[test]
     fn concurrent_bumps_merge_exactly() {
-        let s = Arc::new(StatsCells::new());
-        let threads: Vec<_> = (0..4)
-            .map(|k| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..1000 {
-                        s.add(stat::packets_sent, 1);
-                        s.raise(stat::fc_peak_unex_bytes, k * 1000 + i);
-                    }
+        // 16 writers also exceed the free stripes, so some threads share a
+        // slab: the merge must stay exact either way.
+        for threads in [4u64, 16] {
+            let s = Arc::new(StatsCells::new());
+            let workers: Vec<_> = (0..threads)
+                .map(|k| {
+                    let s = Arc::clone(&s);
+                    std::thread::spawn(move || bump_run(&s, k))
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            let sequential = StatsCells::new();
+            for k in 0..threads {
+                bump_run(&sequential, k);
+            }
+            let snap = s.snapshot();
+            assert_eq!(snap, sequential.snapshot(), "{threads} writers");
+            assert_eq!(snap.packets_sent, threads * 1000);
+            assert_eq!(snap.fc_peak_unex_bytes, threads * 1000 - 1);
         }
-        let snap = s.snapshot();
-        assert_eq!(snap.packets_sent, 4000);
-        assert_eq!(snap.fc_peak_unex_bytes, 3999);
     }
 }

@@ -47,7 +47,6 @@ pub mod queues;
 pub mod request;
 pub mod rma;
 pub mod stack;
-pub mod threaded;
 pub mod transport;
 pub mod vc;
 
@@ -56,4 +55,3 @@ pub use comm::Comm;
 pub use costs::SoftwareCosts;
 pub use request::Req;
 pub use stack::{InterNode, MembershipTotals, RunOutcome, StackConfig, TailoredProfile};
-pub use threaded::{run_inline, run_threaded, ThreadedConfig, ThreadedReport};

@@ -47,7 +47,7 @@ pub mod striped;
 
 pub use export::{trace_hash, PhaseBreakdown, Report};
 pub use metrics::{Histogram, MetricsRegistry, HIST_BUCKETS};
-pub use striped::{stripe_id, AtomicHistogram, StripedCells, STRIPES};
+pub use striped::{stripe_id, StripedCells, STRIPES};
 pub use span::{
     EngineEvent, Event, MsgKey, Phase, RankRec, Recorder, RetryKind, Scope, Side, Validator,
     ENGINE_RANK,

@@ -90,31 +90,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Fold in a pre-aggregated shard: bucket counts plus exact
-    /// sum/min/max, as produced by [`crate::striped::AtomicHistogram`]'s
-    /// merged read. Same semantics as [`Histogram::merge`] with the shard
-    /// expressed as raw parts. `min`/`max` are ignored when the shard is
-    /// empty (all bucket counts zero).
-    pub fn absorb_shard(
-        &mut self,
-        bucket_counts: &[u64; HIST_BUCKETS],
-        sum: u128,
-        min: u64,
-        max: u64,
-    ) {
-        let shard_count: u64 = bucket_counts.iter().sum();
-        if shard_count == 0 {
-            return;
-        }
-        for (a, b) in self.counts.iter_mut().zip(bucket_counts.iter()) {
-            *a += b;
-        }
-        self.count += shard_count;
-        self.sum += sum;
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }

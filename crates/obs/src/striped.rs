@@ -1,5 +1,5 @@
-//! Per-core (striped) counters and histograms: contended-write-free on the
-//! hot path, merged on read.
+//! Per-core (striped) counters: contended-write-free on the hot path,
+//! merged on read.
 //!
 //! A [`StripedCells`] is `N` logical `u64` counters materialized as one
 //! *slab* of `N` atomics **per writing thread** (lazily allocated on the
@@ -12,15 +12,9 @@
 //! under the single-threaded simulator) is exact. Merging is plain
 //! addition, so the single-threaded path produces bit-identical totals to
 //! the old non-atomic fields — the property the same-seed replay tests pin.
-//!
-//! [`AtomicHistogram`] applies the same discipline to the log2 histogram
-//! of [`crate::metrics::Histogram`]: per-thread bucket slabs merged into a
-//! plain `Histogram` on read.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-use crate::metrics::{Histogram, HIST_BUCKETS};
 
 /// Number of slab slots. Thread stripe ids are assigned round-robin, so
 /// more than `STRIPES` concurrent writers start sharing slabs (still
@@ -100,62 +94,6 @@ impl<const N: usize> StripedCells<N> {
     }
 }
 
-/// A log2 histogram with contended-write-free `record`: per-thread bucket
-/// slabs (plus sum/min/max cells), merged into a plain [`Histogram`] on
-/// read. Bucket layout is identical to [`Histogram`], so merged snapshots
-/// interoperate with every existing consumer (quantiles, exporters,
-/// registry merges).
-pub struct AtomicHistogram {
-    /// Per-stripe: HIST_BUCKETS bucket counts, then sum, then min (stored
-    /// negated as `u64::MAX - min` so `fetch_max` implements min), then max.
-    cells: StripedCells<{ HIST_BUCKETS + 3 }>,
-}
-
-const H_SUM: usize = HIST_BUCKETS;
-const H_NEG_MIN: usize = HIST_BUCKETS + 1;
-const H_MAX: usize = HIST_BUCKETS + 2;
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    pub fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            cells: StripedCells::new(),
-        }
-    }
-
-    /// Record an observation (own slab only — no cross-thread contention).
-    pub fn record(&self, v: u64) {
-        self.cells.add(Histogram::bucket_of(v), 1);
-        self.cells.add(H_SUM, v);
-        self.cells.raise(H_NEG_MIN, u64::MAX - v);
-        self.cells.raise(H_MAX, v);
-    }
-
-    /// Merge every stripe into a plain mergeable [`Histogram`] snapshot.
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram::new();
-        let mut bucket_counts = [0u64; HIST_BUCKETS];
-        let mut any = false;
-        for (b, c) in bucket_counts.iter_mut().enumerate() {
-            *c = self.cells.sum(b);
-            any |= *c > 0;
-        }
-        if !any {
-            return h;
-        }
-        let min = u64::MAX - self.cells.max(H_NEG_MIN);
-        let max = self.cells.max(H_MAX);
-        let sum = self.cells.sum(H_SUM);
-        h.absorb_shard(&bucket_counts, sum as u128, min, max);
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,38 +143,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.max(0), 40);
-    }
-
-    #[test]
-    fn atomic_histogram_matches_sequential_histogram() {
-        let ah = Arc::new(AtomicHistogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|k| {
-                let ah = Arc::clone(&ah);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        ah.record(k * 1000 + i);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let merged = ah.snapshot();
-        let mut seq = Histogram::new();
-        for k in 0..4u64 {
-            for i in 0..1000 {
-                seq.record(k * 1000 + i);
-            }
-        }
-        assert_eq!(merged, seq);
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_empty() {
-        let ah = AtomicHistogram::new();
-        assert_eq!(ah.snapshot().count(), 0);
-        assert_eq!(ah.snapshot().min(), None);
     }
 }

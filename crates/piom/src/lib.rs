@@ -37,5 +37,5 @@ pub mod real_threads;
 pub mod server;
 
 pub use ltask::LTask;
-pub use real_threads::{BackgroundProgress, WorkerTeam};
+pub use real_threads::BackgroundProgress;
 pub use server::{DetectionMethod, PiomConfig, PiomServer, ProgressFn};

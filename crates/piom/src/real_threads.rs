@@ -72,65 +72,6 @@ impl Drop for BackgroundProgress {
     }
 }
 
-/// A set of named worker threads spawned together and joined together.
-///
-/// The threaded MPI stack (`mpi_ch3::threaded`) uses one team for its
-/// producer (application) threads and one for its per-VC consumer
-/// (progress) threads; benches and stress tests join both and fold the
-/// per-thread results. Join order is spawn order, so result vectors line
-/// up with worker indices.
-pub struct WorkerTeam<T> {
-    handles: Vec<JoinHandle<T>>,
-}
-
-impl<T: Send + 'static> WorkerTeam<T> {
-    /// Spawn `count` threads named `{prefix}-{i}`. `mk` is called once per
-    /// worker index on the calling thread to build that worker's closure
-    /// (capture per-worker state there; the closure itself runs on the new
-    /// thread).
-    pub fn spawn<F, G>(count: usize, prefix: &str, mut mk: F) -> WorkerTeam<T>
-    where
-        F: FnMut(usize) -> G,
-        G: FnOnce() -> T + Send + 'static,
-    {
-        let handles = (0..count)
-            .map(|i| {
-                let body = mk(i);
-                std::thread::Builder::new()
-                    .name(format!("{prefix}-{i}"))
-                    .spawn(body)
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        WorkerTeam { handles }
-    }
-
-    /// Number of workers in the team.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Join every worker, returning results in spawn order.
-    ///
-    /// # Panics
-    /// Propagates a worker panic (the panic payload is resumed on the
-    /// joining thread) so a failed assertion inside a worker fails the
-    /// test that owns the team instead of vanishing.
-    pub fn join(self) -> Vec<T> {
-        self.handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,22 +105,6 @@ mod tests {
         bg.stop();
         assert_eq!(drained.load(Ordering::Relaxed), 10_000);
         assert!(bg.iterations() > 0);
-    }
-
-    #[test]
-    fn worker_team_results_line_up_with_indices() {
-        let shared = Arc::new(AtomicU64::new(0));
-        let team = WorkerTeam::spawn(8, "wt-test", |i| {
-            let shared = Arc::clone(&shared);
-            move || {
-                shared.fetch_add(1, Ordering::Relaxed);
-                i * 10
-            }
-        });
-        assert_eq!(team.len(), 8);
-        let results = team.join();
-        assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        assert_eq!(shared.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Referee for event-driven polling: the engine runs idle poll ticks itself
 //! instead of waking the rank, and that must not move anything simulated.
 //!
-//! Every case below is an app-polling run (the mode whose busy-wait loops
-//! the engine elides). The golden rows were captured before elision
-//! existed, when every poll tick was a rank handoff; each case must still
-//! reproduce, bit for bit:
+//! Every case below but `fanin_allreduce` is an app-polling run (the mode
+//! whose busy-wait loops the engine elides). Those golden rows were
+//! captured before elision existed, when every poll tick was a rank
+//! handoff; each case must still reproduce, bit for bit:
 //!
 //! * the final simulated time and the dispatched event count;
 //! * the rank wake events, `wakes + polls_elided` (the old `wakes`);
@@ -17,7 +17,9 @@
 //! A mismatch prints the observed row in the table's own syntax.
 //!
 //! `pingpong_small_work_counts` is the work-count gate of the
-//! `pingpong_small` benchmark configuration.
+//! `pingpong_small` benchmark configuration, and the `fanin_allreduce`
+//! case that of the `fanin_allreduce` one (64 ranks, PIOMan, bounded
+//! credits).
 
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, RunOutcome, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{Comm, MpiHandle, Src};
@@ -250,6 +252,64 @@ fn probe() -> RunOutcome {
             mpi.compute(SimDuration::micros(3 + 9 * (2 - me as u64)));
             let len = if me == 1 { 20 * 1024 } else { 300 };
             mpi.send(0, TAG, &fill(me, 0, len));
+        }
+    })
+    .0
+}
+
+// ---------------------------------------------------------------------
+// Scale case: the `fanin_allreduce` benchmark configuration
+// ---------------------------------------------------------------------
+
+const FANIN_RANKS: usize = 64;
+const FANIN_ROUNDS: usize = 3;
+
+/// Bytes rank `src` sends to rank 0 in `round`: one sender in eight goes
+/// rendezvous (above the 16 KiB eager threshold), the rest send up to
+/// 4 KiB eager.
+fn fanin_len(src: usize, round: usize) -> usize {
+    let h = src * 389 + round * 71;
+    if (src + round).is_multiple_of(8) {
+        16 * 1024 + 1 + h % (32 * 1024)
+    } else {
+        1 + h % 4096
+    }
+}
+
+/// 64 ranks on 8 nodes under PIOMan and bounded credits: each round every
+/// rank sends to rank 0, which receives ANY_SOURCE after most messages
+/// are already waiting, then everyone joins an allreduce.
+fn fanin_allreduce() -> RunOutcome {
+    let cluster = Cluster::new(8, 8, vec![NicModel::connectx_ib()]);
+    let placement = Placement::block(FANIN_RANKS, &cluster);
+    let stack = traced(
+        StackConfig::mpich2_nmad(true)
+            .with_flow(FlowConfig::bounded(4, 128 * 1024))
+            .with_fabric_seed(1),
+    );
+    run_mpi_collect(&cluster, &placement, &stack, FANIN_RANKS, |mpi| {
+        let me = mpi.rank();
+        for round in 0..FANIN_ROUNDS {
+            if me == 0 {
+                mpi.compute(SimDuration::micros(30));
+                let mut seen = [false; FANIN_RANKS];
+                for _ in 1..FANIN_RANKS {
+                    let (data, st) = mpi.recv(Src::Any, TAG);
+                    let src = st.source;
+                    assert!(!seen[src], "rank {src} delivered twice in round {round}");
+                    seen[src] = true;
+                    assert_eq!(&data[..], &fill(src, round, fanin_len(src, round))[..]);
+                }
+            } else {
+                mpi.compute(SimDuration::nanos(
+                    ((me * 7919 + round * 104_729) % 20_000) as u64,
+                ));
+                mpi.send(0, TAG, &fill(me, round, fanin_len(me, round)));
+            }
+            let contrib = [(1000 * round + me) as f64, 1.0];
+            let n = FANIN_RANKS;
+            let want = [(1000 * round * n + n * (n - 1) / 2) as f64, n as f64];
+            assert_eq!(mpi.allreduce_sum(&contrib), want);
         }
     })
     .0
@@ -546,6 +606,20 @@ const GOLDEN: &[(&str, Golden)] = &[
             counters_hash: 0xaa66d25729a4453e,
         },
     ),
+    (
+        // Captured with elision in place: `rank_wakes` still counts the
+        // elided ticks, so the row has the same meaning as the ones above.
+        "fanin_allreduce",
+        Golden {
+            final_ns: 899354,
+            events: 7943,
+            rank_wakes: 1657,
+            nm_hash: 0x69deebb9acf8a55f,
+            copy: [1809839, 924, 567, 378],
+            trace_hash: 0xd1ab3f0f1b3ac7a0,
+            counters_hash: 0x739e068b985c5f32,
+        },
+    ),
 ];
 
 fn golden(case: &str) -> Golden {
@@ -573,6 +647,7 @@ fn run_case(case: &str) -> Golden {
         "churn" => from_outcome(&churn(0xC4C4_0001)),
         "overload" => from_outcome(&overload(41)),
         "agreement" => from_outcome(&agreement(0xA57A_0001)),
+        "fanin_allreduce" => from_outcome(&fanin_allreduce()),
         _ => unreachable!("unknown case {case}"),
     }
 }
@@ -600,6 +675,7 @@ mod referee {
         churn,
         overload,
         agreement,
+        fanin_allreduce,
     );
 }
 
